@@ -47,7 +47,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cali_cli::{parallel_query, parallel_query_resilient, read_files};
+use cali_cli::{parallel_query_on, read_files};
 use caliper_query::{parse_query, run_query, Pipeline};
 use miniapps::paradis::{self, ParaDisParams, EVALUATION_QUERY};
 use mpisim::{
@@ -65,7 +65,9 @@ fn failure_injection_check(paths: &[PathBuf], np: usize, victim: usize) {
     eprintln!();
     eprintln!("# failure injection: killing rank {victim} at its first comm op, np = {np}");
     let per_rank: Vec<Vec<PathBuf>> = paths[..np].iter().map(|p| vec![p.clone()]).collect();
-    let (result, report) = parallel_query_resilient(
+    let (result, coverage) = parallel_query_on(
+        &ThreadEngine,
+        Topology::Flat,
         EVALUATION_QUERY,
         per_rank,
         FaultPlan::new().kill(victim, 0),
@@ -74,11 +76,12 @@ fn failure_injection_check(paths: &[PathBuf], np: usize, victim: usize) {
     .expect("resilient parallel query");
     eprintln!(
         "# reduction coverage: {}/{} ranks included; lost subtree: {:?}",
-        report.included.len(),
+        coverage.included.len(),
         np,
-        report.lost
+        coverage.lost
     );
-    let survivor_paths: Vec<PathBuf> = report.included.iter().map(|&r| paths[r].clone()).collect();
+    let survivor_paths: Vec<PathBuf> =
+        coverage.included.iter().map(|&r| paths[r].clone()).collect();
     let ds = read_files(&survivor_paths).expect("read survivor files");
     let serial = run_query(&ds, EVALUATION_QUERY).expect("serial reference query");
     assert_eq!(
@@ -238,7 +241,8 @@ fn main() {
             level_max.push(worst);
             step *= 2;
         }
-        let reduction: f64 = level_max.iter().sum();
+        // Fold from +0.0: an empty f64 `sum()` is -0.0 (np = 1).
+        let reduction = level_max.iter().fold(0.0, |acc, t| acc + t);
 
         let t = Instant::now();
         let result = pipelines[0].take().expect("root pipeline").finish();
@@ -248,8 +252,17 @@ fn main() {
         // --- cross-check with the threaded parallel engine ---
         let per_rank: Vec<Vec<PathBuf>> = paths[..np].iter().map(|p| vec![p.clone()]).collect();
         let t = Instant::now();
-        let (threaded, _) = parallel_query(EVALUATION_QUERY, per_rank).expect("parallel query");
+        let (threaded, coverage) = parallel_query_on(
+            &ThreadEngine,
+            Topology::Flat,
+            EVALUATION_QUERY,
+            per_rank,
+            FaultPlan::new(),
+            ResilienceOptions::default(),
+        )
+        .expect("parallel query");
         let threaded_wall = t.elapsed().as_secs_f64();
+        assert!(coverage.is_complete(), "fault-free run lost ranks at np={np}");
         assert_eq!(
             result.to_table().render(),
             threaded.to_table().render(),

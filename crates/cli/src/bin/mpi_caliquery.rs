@@ -12,11 +12,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cali_cli::{
-    parallel_query, parallel_query_on, parallel_query_on_traced, parallel_query_resilient,
-    parse_args, TracedQueryRun,
+use cali_cli::{parallel_query_on, parallel_query_on_traced, parse_args, timings_report};
+use caliper_query::QueryResult;
+use mpisim::{
+    EventEngine, Executor, FaultPlan, ReduceCoverage, ResilienceOptions, ThreadEngine, Topology,
 };
-use mpisim::{EventEngine, FaultPlan, ResilienceOptions, ThreadEngine, Topology};
 
 const USAGE: &str = "usage: mpi-caliquery --np N [-q QUERY] [--timings] INPUT.cali...
 
@@ -28,7 +28,10 @@ Options:
   -q, --query QUERY   the aggregation scheme (must aggregate)
                       default: \"AGGREGATE sum(sum#time.duration),
                       sum(aggregate.count) GROUP BY kernel\"
-  --timings           print the per-phase timing breakdown
+  --timings           print the per-phase timing breakdown to stderr:
+                      max local read+process time over ranks, summed
+                      tree-reduction merge time, and root finish time
+                      (plus the scheduler's counters on --engine event)
   --engine NAME       execution engine: 'threads' (one OS thread per
                       rank; the default) or 'event' (deterministic
                       virtual-clock scheduler — use for rank counts in
@@ -44,9 +47,9 @@ Options:
                       the shared fault grammar, e.g.
                       \"mpi.kill=at(2,0);mpi.delay=at(1,0,20)\" kills
                       rank 2 at its first comm op and stalls rank 1 by
-                      20 ms; the run switches to the fault-tolerant
-                      reduction and reports which ranks' data the
-                      result covers (also read from CALI_FAULTS)
+                      20 ms; the reduction routes around dead ranks and
+                      reports which ranks' data the result covers (also
+                      read from CALI_FAULTS)
   --analyze           record the happens-before communication trace and
                       run the race/deadlock analysis on it after the
                       query; the certificate is printed to stderr and
@@ -60,91 +63,114 @@ Exit codes: 0 success, 1 error, 2 success but the result is partial
 (injected faults lost some ranks' contributions).
 ";
 
-/// Print the result and coverage report of an engine-generic run; with
-/// `sched_timings` also the event scheduler's counters (the event
-/// engine's analogue of the threaded path's timing breakdown).
-fn finish_engine_run(
-    run: Result<(caliper_query::QueryResult, cali_cli::ResilientReport), cali_cli::ParallelError>,
-    sched_timings: bool,
-) -> ExitCode {
-    match run {
-        Ok((result, report)) => {
-            print!("{}", result.render());
-            if sched_timings {
-                let m = caliper_data::metrics::global();
-                eprintln!(
-                    "# sched events:          {}",
-                    m.counter_volatile("mpisim.sched.events").get()
-                );
-                eprintln!(
-                    "# sched virtual time:    {} ns",
-                    m.gauge_volatile("mpisim.sched.virtual_time_ns").get()
-                );
-                eprintln!(
-                    "# sched max queue depth: {}",
-                    m.gauge_volatile("mpisim.sched.max_queue_depth").get()
-                );
-            }
-            if report.lost.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!(
-                    "mpi-caliquery: partial result: covers {} of {} ranks; lost ranks {:?}",
-                    report.included.len(),
-                    report.included.len() + report.lost.len(),
-                    report.lost
-                );
-                ExitCode::from(2)
-            }
-        }
-        Err(e) => {
-            eprintln!("mpi-caliquery: {e}");
-            ExitCode::FAILURE
-        }
-    }
+/// One parallel query run as the command line describes it.
+struct Job<'a> {
+    query: &'a str,
+    topology: Topology,
+    per_rank: Vec<Vec<PathBuf>>,
+    plan: FaultPlan,
+    timings: bool,
+    analyze: bool,
+    trace_path: Option<&'a str>,
 }
 
-/// Handle a traced run: dump and/or analyze the happens-before trace,
-/// then report the query outcome as usual. Analysis errors (message
-/// races, deadlock cycles) fail the run even when the query itself
-/// produced a result.
-fn finish_traced_run(
-    run: TracedQueryRun,
-    sched_timings: bool,
-    analyze: bool,
-    trace_path: Option<&str>,
-) -> ExitCode {
-    run.trace.record_metrics();
-    if let Some(path) = trace_path {
-        let file = match std::fs::File::create(path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("mpi-caliquery: --trace {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = run.trace.write_cali(std::io::BufWriter::new(file)) {
+/// Run `job` on `engine`: traced when `--analyze` or `--trace` asks for
+/// the happens-before trace, plain otherwise.
+fn run_on<E: Executor>(engine: &E, job: Job) -> ExitCode {
+    let opts = ResilienceOptions::default();
+    let sched = engine.name() == "event";
+    if !job.analyze && job.trace_path.is_none() {
+        let run = parallel_query_on(engine, job.topology, job.query, job.per_rank, job.plan, opts);
+        return finish_run(run, job.timings, sched);
+    }
+    let traced = match parallel_query_on_traced(
+        engine,
+        job.topology,
+        job.query,
+        job.per_rank,
+        job.plan,
+        opts,
+    ) {
+        Ok(traced) => traced,
+        Err(e) => {
+            eprintln!("mpi-caliquery: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    traced.trace.record_metrics();
+    if let Some(path) = job.trace_path {
+        let written = std::fs::File::create(path)
+            .and_then(|file| traced.trace.write_cali(std::io::BufWriter::new(file)));
+        if let Err(e) = written {
             eprintln!("mpi-caliquery: --trace {path}: {e}");
             return ExitCode::FAILURE;
         }
         eprintln!(
             "mpi-caliquery: wrote {} trace events ({} ranks) to {path}",
-            run.trace.len(),
-            run.trace.size()
+            traced.trace.len(),
+            traced.trace.size()
         );
     }
+    // Analysis errors (message races, deadlock cycles) fail the run
+    // even when the query itself produced a result.
     let mut analysis_errors = false;
-    if analyze {
-        let analysis = mpisim::analyze(&run.trace);
+    if job.analyze {
+        let analysis = mpisim::analyze(&traced.trace);
         eprint!("{}", analysis.render());
         analysis_errors = analysis.exit_code(false) == 2;
     }
-    let code = finish_engine_run(run.outcome, sched_timings);
+    let code = finish_run(traced.outcome, job.timings, sched);
     if analysis_errors {
         eprintln!("mpi-caliquery: --analyze found communication errors");
         return ExitCode::FAILURE;
     }
     code
+}
+
+/// Print the result, the `--timings` breakdown (with the event
+/// scheduler's counters when `sched`), and the coverage report.
+fn finish_run(
+    run: Result<(QueryResult, ReduceCoverage), cali_cli::ParallelError>,
+    timings: bool,
+    sched: bool,
+) -> ExitCode {
+    let (result, coverage) = match run {
+        Ok(done) => done,
+        Err(e) => {
+            eprintln!("mpi-caliquery: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    print!("{}", result.render());
+    if timings {
+        eprint!("{}", timings_report());
+        if sched {
+            let m = caliper_data::metrics::global();
+            eprintln!(
+                "# sched events:          {}",
+                m.counter_volatile("mpisim.sched.events").get()
+            );
+            eprintln!(
+                "# sched virtual time:    {} ns",
+                m.gauge_volatile("mpisim.sched.virtual_time_ns").get()
+            );
+            eprintln!(
+                "# sched max queue depth: {}",
+                m.gauge_volatile("mpisim.sched.max_queue_depth").get()
+            );
+        }
+    }
+    if coverage.is_complete() {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!(
+        "mpi-caliquery: partial result: {} of {} ranks; covers ranks {:?}; lost ranks {:?}",
+        coverage.included.len(),
+        coverage.included.len() + coverage.lost.len(),
+        coverage.included,
+        coverage.lost
+    );
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
@@ -198,13 +224,13 @@ fn main() -> ExitCode {
     // the two-level (intra-node, then cross-node) scheme.
     let topology = match args.get(&["nodes"]) {
         Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => Some(Topology::two_level_for(np, n)),
+            Ok(n) if n > 0 => Topology::two_level_for(np, n),
             _ => {
                 eprintln!("mpi-caliquery: invalid --nodes '{v}'");
                 return ExitCode::FAILURE;
             }
         },
-        None => None,
+        None => Topology::Flat,
     };
     let workers: usize = match args.get(&["workers"]) {
         Some(v) => match v.parse() {
@@ -223,125 +249,20 @@ fn main() -> ExitCode {
         per_rank[i % np].push(PathBuf::from(path));
     }
 
-    // Happens-before tracing: --analyze and --trace both need the
-    // instrumented run, on either engine.
-    let analyze = args.has(&["analyze"]);
-    let trace_path = args.get(&["trace"]);
-    if analyze || trace_path.is_some() {
-        let topology = topology.unwrap_or(Topology::Flat);
-        let opts = ResilienceOptions::default();
-        let run = match args.get(&["engine"]).unwrap_or("threads") {
-            "event" => {
-                let engine = EventEngine::with_workers(workers);
-                parallel_query_on_traced(&engine, topology, query, per_rank, plan, opts)
-            }
-            "threads" => {
-                parallel_query_on_traced(&ThreadEngine, topology, query, per_rank, plan, opts)
-            }
-            other => {
-                eprintln!("mpi-caliquery: unknown --engine '{other}' (use 'event' or 'threads')");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match run {
-            Ok(traced) => {
-                finish_traced_run(traced, args.has(&["timings"]), analyze, trace_path)
-            }
-            Err(e) => {
-                eprintln!("mpi-caliquery: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // The event engine — and any two-level topology — routes through
-    // the engine-generic task path; the default threaded flat path
-    // below keeps its per-phase timing harvest.
+    let job = Job {
+        query,
+        topology,
+        per_rank,
+        plan,
+        timings: args.has(&["timings"]),
+        analyze: args.has(&["analyze"]),
+        trace_path: args.get(&["trace"]),
+    };
     match args.get(&["engine"]).unwrap_or("threads") {
-        "event" => {
-            let engine = EventEngine::with_workers(workers);
-            let run = parallel_query_on(
-                &engine,
-                topology.unwrap_or(Topology::Flat),
-                query,
-                per_rank,
-                plan,
-                ResilienceOptions::default(),
-            );
-            return finish_engine_run(run, args.has(&["timings"]));
-        }
-        "threads" => {
-            if let Some(topology) = topology {
-                let run = parallel_query_on(
-                    &ThreadEngine,
-                    topology,
-                    query,
-                    per_rank,
-                    plan,
-                    ResilienceOptions::default(),
-                );
-                return finish_engine_run(run, false);
-            }
-        }
+        "event" => run_on(&EventEngine::with_workers(workers), job),
+        "threads" => run_on(&ThreadEngine, job),
         other => {
             eprintln!("mpi-caliquery: unknown --engine '{other}' (use 'event' or 'threads')");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if !plan.is_empty() {
-        return match parallel_query_resilient(query, per_rank, plan, ResilienceOptions::default())
-        {
-            Ok((result, report)) => {
-                print!("{}", result.render());
-                if args.has(&["timings"]) {
-                    eprintln!("# timings unavailable under fault injection");
-                }
-                if report.lost.is_empty() {
-                    ExitCode::SUCCESS
-                } else {
-                    eprintln!(
-                        "mpi-caliquery: partial result: covers ranks {:?}; lost ranks {:?}",
-                        report.included, report.lost
-                    );
-                    ExitCode::from(2)
-                }
-            }
-            Err(e) => {
-                eprintln!("mpi-caliquery: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    match parallel_query(query, per_rank) {
-        Ok((result, timings)) => {
-            print!("{}", result.render());
-            if args.has(&["timings"]) {
-                eprintln!(
-                    "# local read+process (max over ranks): {:.6} s",
-                    timings.local_max_s()
-                );
-                eprintln!(
-                    "# tree reduction (critical path):      {:.6} s",
-                    timings.reduction_s
-                );
-                for (level, t) in timings.level_merge_max_s.iter().enumerate() {
-                    eprintln!("#   level {level}: {t:.6} s");
-                }
-                eprintln!(
-                    "# root finish:                         {:.6} s",
-                    timings.finish_s
-                );
-                eprintln!(
-                    "# total:                               {:.6} s",
-                    timings.total_s()
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("mpi-caliquery: {e}");
             ExitCode::FAILURE
         }
     }

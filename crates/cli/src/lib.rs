@@ -18,8 +18,7 @@ pub mod parallel;
 pub use args::{parse_args, CliArgs, UsageError};
 pub use lint::{check_query, exit_code, infer_schema, summary_line, CheckedQuery};
 pub use parallel::{
-    parallel_query, parallel_query_on, parallel_query_on_traced, parallel_query_resilient,
-    ParallelError, ParallelTimings, ResilientReport, TracedQueryRun,
+    parallel_query_on, parallel_query_on_traced, timings_report, ParallelError, TracedQueryRun,
 };
 
 use caliper_format::{CaliError, Dataset, Pushdown, ReadPolicy, ReadReport};

@@ -7,50 +7,35 @@
 //! results to their parent, where the partial results are aggregated
 //! again."
 //!
-//! The engine additionally reports the timing breakdown that Figure 4
-//! plots: per-rank local read+process time, and the per-tree-level
-//! merge times from which the critical-path reduction time is computed.
-//! On a laptop all "ranks" share a few cores, so wall-clock weak
-//! scaling is not observable directly; the critical path over the tree
-//! levels is the machine-independent quantity (see DESIGN.md §3).
+//! Every run is one [`ReduceTask`] per rank on an [`Executor`]: the
+//! thread engine or the event engine, flat or two-level, with or
+//! without scripted faults — a fault-free run is the same reduction
+//! under an empty [`FaultPlan`].
+//!
+//! The engine records the phase costs Figure 4 plots as volatile
+//! entries of the process-wide metrics registry (rendered by
+//! [`timings_report`]): the maximum local read+process time over ranks,
+//! the summed merge time, and the root's finish time.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
+use caliper_data::metrics;
 use caliper_query::{parse_query, ParseError, Pipeline, QueryResult};
 use mpisim::{
-    gather, reduce_tree_resilient, Comm, Executor, FaultPlan, HbTrace, ReduceCoverage, ReduceTask,
-    ResilienceOptions, SchedError, Topology,
+    Executor, FaultPlan, HbTrace, ReduceCoverage, ReduceTask, ResilienceOptions, SchedError,
+    Topology,
 };
 
 use crate::read_files;
 
-/// Timing breakdown of one parallel query run.
-#[derive(Debug, Clone, Default)]
-pub struct ParallelTimings {
-    /// Per-rank wall time for reading and processing the local input.
-    pub local_s: Vec<f64>,
-    /// Per-tree-level maximum merge time (critical path per level).
-    pub level_merge_max_s: Vec<f64>,
-    /// Critical-path reduction time: the sum of the level maxima.
-    pub reduction_s: f64,
-    /// Time rank 0 spent finishing (flush + sort + column resolution).
-    pub finish_s: f64,
-}
-
-impl ParallelTimings {
-    /// Maximum local read+process time over ranks.
-    pub fn local_max_s(&self) -> f64 {
-        self.local_s.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Estimated total critical-path runtime including I/O:
-    /// max local + reduction + root finish.
-    pub fn total_s(&self) -> f64 {
-        self.local_max_s() + self.reduction_s + self.finish_s
-    }
-}
+/// Registry name of the maximum local read+process time over ranks.
+const LOCAL_MAX_NS: &str = "cli.mpi_query.local_max_ns";
+/// Registry name of the summed pipeline merge time.
+const MERGE: &str = "cli.mpi_query.merge";
+/// Registry name of the root's finish time.
+const FINISH: &str = "cli.mpi_query.finish";
 
 /// Errors from the parallel query engine.
 #[derive(Debug)]
@@ -82,198 +67,21 @@ impl std::fmt::Display for ParallelError {
 
 impl std::error::Error for ParallelError {}
 
-/// Tag used for the per-rank timing report.
-struct RankReport {
-    local_s: f64,
-    /// (tree level, merge seconds) for each merge this rank performed.
-    merges: Vec<(usize, f64)>,
-}
-
-/// Run `query` over `files_per_rank.len()` simulated query processes,
-/// one thread each; rank `i` reads `files_per_rank[i]`. Returns the
-/// result (from rank 0) and the timing breakdown.
-pub fn parallel_query(
-    query: &str,
-    files_per_rank: Vec<Vec<PathBuf>>,
-) -> Result<(QueryResult, ParallelTimings), ParallelError> {
-    let spec = parse_query(query).map_err(ParallelError::Parse)?;
-    if !spec.is_aggregation() {
-        return Err(ParallelError::NotAnAggregation);
-    }
-    let size = files_per_rank.len().max(1);
-    let spec = Arc::new(spec);
-    let files = Arc::new(files_per_rank);
-
-    let results = mpisim::run(size, move |mut comm: Comm| {
-        let rank = comm.rank();
-        let size = comm.size();
-
-        // --- local phase: read + process assigned files ---
-        let start = Instant::now();
-        let ds = read_files(&files[rank]).map_err(|e| e.to_string())?;
-        let mut pipeline = Pipeline::new((*spec).clone(), Arc::clone(&ds.store));
-        pipeline.process_dataset(&ds);
-        let local_s = start.elapsed().as_secs_f64();
-
-        // --- binomial-tree reduction, timing each merge ---
-        let mut merges = Vec::new();
-        let mut step = 1usize;
-        let mut level = 0usize;
-        let mut mine = Some(pipeline);
-        while step < size {
-            if rank.is_multiple_of(2 * step) {
-                let partner = rank + step;
-                if partner < size {
-                    let theirs: Pipeline =
-                        comm.recv(partner, 1).map_err(|e| e.to_string())?;
-                    let t = Instant::now();
-                    mine.as_mut().expect("receiver holds a pipeline").merge(theirs);
-                    merges.push((level, t.elapsed().as_secs_f64()));
-                }
-            } else {
-                let parent = rank - step;
-                comm.send(parent, 1, mine.take().expect("sender holds a pipeline"))
-                    .map_err(|e| e.to_string())?;
-                break;
-            }
-            step *= 2;
-            level += 1;
-        }
-
-        // --- gather timing reports at rank 0 ---
-        let report = RankReport { local_s, merges };
-        let reports = gather(&mut comm, report).map_err(|e| e.to_string())?;
-        Ok::<_, String>((mine, reports))
-    });
-
-    let mut root_pipeline = None;
-    let mut reports = None;
-    for (rank, r) in results.into_iter().enumerate() {
-        let (pipeline, rank_reports) = r.map_err(ParallelError::Io)?;
-        if rank == 0 {
-            root_pipeline = pipeline;
-            reports = rank_reports;
-        }
-    }
-    let root_pipeline = root_pipeline.expect("rank 0 holds the merged pipeline");
-    let reports = reports.expect("rank 0 gathered the reports");
-
-    let t = Instant::now();
-    let result = root_pipeline.finish();
-    let finish_s = t.elapsed().as_secs_f64();
-
-    let levels = (usize::BITS - (size - 1).leading_zeros()) as usize;
-    let mut level_merge_max_s = vec![0.0f64; levels];
-    let mut local_s = Vec::with_capacity(size);
-    for report in &reports {
-        local_s.push(report.local_s);
-        for &(level, seconds) in &report.merges {
-            level_merge_max_s[level] = level_merge_max_s[level].max(seconds);
-        }
-    }
-    let reduction_s = level_merge_max_s.iter().sum();
-    Ok((
-        result,
-        ParallelTimings {
-            local_s,
-            level_merge_max_s,
-            reduction_s,
-            finish_s,
-        },
-    ))
-}
-
-/// Outcome of a fault-injected parallel query: the merged result from
-/// rank 0 plus the coverage report of the resilient reduction.
-#[derive(Debug)]
-pub struct ResilientReport {
-    /// Ranks whose local aggregations are folded into the result.
-    pub included: Vec<usize>,
-    /// Ranks whose contributions were lost to the injected faults
-    /// (dead, or stranded behind a dead ancestor in the tree).
-    pub lost: Vec<usize>,
-}
-
-impl ResilientReport {
-    fn from_coverage(c: ReduceCoverage) -> ResilientReport {
-        ResilientReport {
-            included: c.included,
-            lost: c.lost,
-        }
-    }
-}
-
-/// Like [`parallel_query`], but executed under a scripted
-/// [`FaultPlan`] with the fault-tolerant tree reduction: dead ranks are
-/// routed around instead of deadlocking the run, and the report states
-/// exactly which ranks' data the result covers.
+/// Run `query` over `files_per_rank.len()` simulated query processes on
+/// `engine`; rank `i` reads and aggregates `files_per_rank[i]`, then the
+/// partial results reduce up the `topology`'s tree to rank 0 under
+/// `plan`. Returns the result and the coverage report: which ranks'
+/// data it holds.
 ///
-/// Differences from the fault-free engine, both deliberate:
-///
-/// * no timing gather — a collective over all ranks would hang on the
-///   dead ones; resilience and timing harvesting don't mix;
-/// * the result covers `report.included` only. It equals a serial
-///   aggregation over exactly those ranks' files (pipeline merge is
-///   associative, and the tree merges survivors in rank order).
-pub fn parallel_query_resilient(
-    query: &str,
-    files_per_rank: Vec<Vec<PathBuf>>,
-    plan: FaultPlan,
-    opts: ResilienceOptions,
-) -> Result<(QueryResult, ResilientReport), ParallelError> {
-    let spec = parse_query(query).map_err(ParallelError::Parse)?;
-    if !spec.is_aggregation() {
-        return Err(ParallelError::NotAnAggregation);
-    }
-    let size = files_per_rank.len().max(1);
-    let spec = Arc::new(spec);
-    let files = Arc::new(files_per_rank);
-
-    let results = mpisim::run_with_faults(size, plan, move |mut comm: Comm| {
-        let rank = comm.rank();
-        let ds = read_files(&files[rank]).map_err(|e| e.to_string())?;
-        let mut pipeline = Pipeline::new((*spec).clone(), Arc::clone(&ds.store));
-        pipeline.process_dataset(&ds);
-        reduce_tree_resilient(
-            &mut comm,
-            pipeline,
-            |mut acc, incoming| {
-                acc.merge(incoming);
-                acc
-            },
-            &opts,
-        )
-        .map_err(|e| e.to_string())
-    });
-
-    // Rank 0 is never scripted to die in a meaningful run; if it was,
-    // there is no result to salvage.
-    let root = results
-        .into_iter()
-        .next()
-        .expect("world has at least one rank")
-        .ok_or_else(|| ParallelError::Io("rank 0 was killed by the fault plan".to_string()))?;
-    let (pipeline, coverage) = root
-        .map_err(ParallelError::Io)?
-        .expect("rank 0 is the reduction root");
-    Ok((
-        pipeline.finish(),
-        ResilientReport::from_coverage(coverage),
-    ))
-}
-
-/// Like [`parallel_query_resilient`], but generic over the execution
-/// [`Executor`] and reduction [`Topology`]: the same fault-tolerant
-/// reduction state machine runs either on the thread engine
-/// ([`mpisim::ThreadEngine`], one OS thread per rank) or on the
-/// event engine ([`mpisim::EventEngine`], a deterministic virtual-clock
-/// scheduler that handles thousands of ranks in one process).
-///
-/// Each rank's local phase (read + aggregate its files) runs lazily
-/// inside its task's first step, so on the event engine the worker pool
-/// parallelizes the file reads. A rank whose input fails to read
-/// poisons its partial result; the error surfaces at the root as
-/// [`ParallelError::Io`] rather than silently shrinking coverage.
+/// Each rank's local phase runs in its task's start step, so on the
+/// event engine the worker pool parallelizes the file reads, and on the
+/// thread engine no receive deadline starts before every local phase
+/// is done. Dead ranks are routed around; the result then equals a
+/// serial aggregation over exactly `coverage.included`'s files
+/// (pipeline merge is associative, and the tree merges survivors in
+/// rank order). A rank whose input fails to read poisons its partial
+/// result; the error surfaces at the root as [`ParallelError::Io`]
+/// rather than silently shrinking coverage.
 pub fn parallel_query_on<E: Executor>(
     engine: &E,
     topology: Topology,
@@ -281,7 +89,7 @@ pub fn parallel_query_on<E: Executor>(
     files_per_rank: Vec<Vec<PathBuf>>,
     plan: FaultPlan,
     opts: ResilienceOptions,
-) -> Result<(QueryResult, ResilientReport), ParallelError> {
+) -> Result<(QueryResult, ReduceCoverage), ParallelError> {
     let (spec, size, files) = prepare_query(query, files_per_rank)?;
     let outputs = engine
         .try_run_tasks(size, plan, query_task_factory(spec, files, topology, opts))
@@ -296,7 +104,7 @@ pub fn parallel_query_on<E: Executor>(
 #[derive(Debug)]
 pub struct TracedQueryRun {
     /// The query result and coverage report, or what went wrong.
-    pub outcome: Result<(QueryResult, ResilientReport), ParallelError>,
+    pub outcome: Result<(QueryResult, ReduceCoverage), ParallelError>,
     /// The communication trace of the run.
     pub trace: HbTrace,
 }
@@ -327,6 +135,22 @@ pub fn parallel_query_on_traced<E: Executor>(
     })
 }
 
+/// The per-phase timing breakdown of the parallel query runs in this
+/// process, one `# `-prefixed line per phase, read from the metrics
+/// registry entries the query tasks record.
+pub fn timings_report() -> String {
+    let m = metrics::global();
+    let secs = |ns: u64| ns as f64 / 1e9;
+    format!(
+        "# local read+process (max over ranks): {:.6} s\n\
+         # tree reduction (summed merges):      {:.6} s\n\
+         # root finish:                         {:.6} s\n",
+        secs(m.gauge_volatile(LOCAL_MAX_NS).get()),
+        secs(m.timer(MERGE).total_ns()),
+        secs(m.timer(FINISH).total_ns()),
+    )
+}
+
 /// Per-rank local aggregation state: the pipeline, or the read error
 /// that poisoned it.
 type RankPipeline = Result<Pipeline, String>;
@@ -354,25 +178,34 @@ type MergeFn = Box<dyn FnMut(RankPipeline, RankPipeline) -> RankPipeline + Send>
 type InitFn = Box<dyn FnOnce() -> RankPipeline + Send>;
 type QueryTask = ReduceTask<RankPipeline, MergeFn, InitFn>;
 
-/// The shared task factory of the engine-generic query paths: each
-/// rank lazily reads + aggregates its files, then reduces up the tree.
+/// The shared task factory of the query paths: each rank lazily reads +
+/// aggregates its files, then reduces up the tree. The timing handles
+/// are resolved here, once per run, and shared by every rank's task.
 fn query_task_factory(
     spec: Arc<caliper_query::QuerySpec>,
     files: Arc<Vec<Vec<PathBuf>>>,
     topology: Topology,
     opts: ResilienceOptions,
 ) -> impl Fn(usize, usize) -> QueryTask + Send + Sync + 'static {
+    let m = metrics::global();
+    let local_max = m.gauge_volatile(LOCAL_MAX_NS);
+    let merge_time = m.timer(MERGE);
     move |rank, size| {
         let spec = Arc::clone(&spec);
         let files = Arc::clone(&files);
+        let local_max = local_max.clone();
         let init: InitFn = Box::new(move || -> RankPipeline {
+            let start = Instant::now();
             let ds = read_files(&files[rank]).map_err(|e| e.to_string())?;
             let mut pipeline = Pipeline::new((*spec).clone(), Arc::clone(&ds.store));
             pipeline.process_dataset(&ds);
+            local_max.set_max(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             Ok(pipeline)
         });
-        let merge: MergeFn = Box::new(|a: RankPipeline, b| match (a, b) {
+        let merge_time = merge_time.clone();
+        let merge: MergeFn = Box::new(move |a: RankPipeline, b| match (a, b) {
             (Ok(mut acc), Ok(incoming)) => {
+                let _timed = merge_time.start();
                 acc.merge(incoming);
                 Ok(acc)
             }
@@ -385,17 +218,15 @@ fn query_task_factory(
 /// Extract rank 0's merged pipeline + coverage from the task outputs.
 fn finish_query_outputs(
     mut outputs: Vec<Option<Option<(RankPipeline, ReduceCoverage)>>>,
-) -> Result<(QueryResult, ResilientReport), ParallelError> {
+) -> Result<(QueryResult, ReduceCoverage), ParallelError> {
     let root = outputs
         .first_mut()
         .and_then(Option::take)
         .ok_or_else(|| ParallelError::Io("rank 0 was killed by the fault plan".to_string()))?;
     let (pipeline, coverage) = root.expect("rank 0 is the reduction root");
     let pipeline = pipeline.map_err(ParallelError::Io)?;
-    Ok((
-        pipeline.finish(),
-        ResilientReport::from_coverage(coverage),
-    ))
+    let _timed = metrics::global().timer(FINISH).start();
+    Ok((pipeline.finish(), coverage))
 }
 
 #[cfg(test)]
@@ -403,11 +234,27 @@ mod tests {
     use super::*;
     use caliper_query::run_query;
     use miniapps::paradis::{self, ParaDisParams};
+    use mpisim::{EventEngine, ThreadEngine};
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("caliquery-test-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// A fault-free flat run on the thread engine.
+    fn query_on_threads(
+        query: &str,
+        per_rank: Vec<Vec<PathBuf>>,
+    ) -> Result<(QueryResult, ReduceCoverage), ParallelError> {
+        parallel_query_on(
+            &ThreadEngine,
+            Topology::Flat,
+            query,
+            per_rank,
+            FaultPlan::new(),
+            ResilienceOptions::default(),
+        )
     }
 
     #[test]
@@ -427,12 +274,14 @@ mod tests {
 
         // Parallel: one file per rank.
         let per_rank: Vec<Vec<PathBuf>> = paths.iter().map(|p| vec![p.clone()]).collect();
-        let (parallel, timings) = parallel_query(query, per_rank).unwrap();
+        let merges_before = metrics::global().timer(MERGE).calls();
+        let (parallel, coverage) = query_on_threads(query, per_rank).unwrap();
 
         assert_eq!(serial.to_table().render(), parallel.to_table().render());
-        assert_eq!(timings.local_s.len(), 8);
-        assert_eq!(timings.level_merge_max_s.len(), 3);
-        assert!(timings.total_s() > 0.0);
+        assert_eq!(coverage.included, (0..8).collect::<Vec<_>>());
+        // 8 ranks, 7 merges — other tests may add more concurrently.
+        assert!(metrics::global().timer(MERGE).calls() >= merges_before + 7);
+        assert!(timings_report().contains("# tree reduction"));
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -451,7 +300,7 @@ mod tests {
             per_rank[i % 3].push(p.clone());
         }
         let query = "AGGREGATE sum(aggregate.count) GROUP BY mpi.rank";
-        let (result, _) = parallel_query(query, per_rank).unwrap();
+        let (result, _) = query_on_threads(query, per_rank).unwrap();
         // One output record per input rank.
         assert_eq!(result.records.len(), 5);
         std::fs::remove_dir_all(&dir).ok();
@@ -475,28 +324,25 @@ mod tests {
             retries: 1,
             backoff: std::time::Duration::from_millis(50),
         };
-        let (result, report) =
-            parallel_query_resilient(query, per_rank, FaultPlan::new().kill(2, 0), opts).unwrap();
-        assert_eq!(report.lost, vec![2, 3]);
-        assert_eq!(report.included, vec![0, 1]);
+        let (result, coverage) = parallel_query_on(
+            &ThreadEngine,
+            Topology::Flat,
+            query,
+            per_rank.clone(),
+            FaultPlan::new().kill(2, 0),
+            opts,
+        )
+        .unwrap();
+        assert_eq!(coverage.lost, vec![2, 3]);
+        assert_eq!(coverage.included, vec![0, 1]);
 
         // The merged result equals a serial aggregation over exactly
         // the surviving ranks' files.
         let survivor_paths: Vec<PathBuf> =
-            report.included.iter().map(|&r| paths[r].clone()).collect();
+            coverage.included.iter().map(|&r| paths[r].clone()).collect();
         let ds = read_files(&survivor_paths).unwrap();
         let serial = run_query(&ds, query).unwrap();
         assert_eq!(serial.to_table().render(), result.to_table().render());
-
-        // A fault-free resilient run covers everyone and matches the
-        // plain engine.
-        let per_rank: Vec<Vec<PathBuf>> = paths.iter().map(|p| vec![p.clone()]).collect();
-        let (clean, clean_report) =
-            parallel_query_resilient(query, per_rank.clone(), FaultPlan::new(), opts).unwrap();
-        assert_eq!(clean_report.included, vec![0, 1, 2, 3]);
-        assert!(clean_report.lost.is_empty());
-        let (plain, _) = parallel_query(query, per_rank).unwrap();
-        assert_eq!(plain.to_table().render(), clean.to_table().render());
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -512,13 +358,15 @@ mod tests {
         let per_rank: Vec<Vec<PathBuf>> = paths.iter().map(|p| vec![p.clone()]).collect();
         let query = "AGGREGATE sum(sum#time.duration), sum(aggregate.count) GROUP BY kernel";
 
-        let (plain, _) = parallel_query(query, per_rank.clone()).unwrap();
-        let expect = plain.to_table().render();
+        let expect = run_query(&read_files(&paths).unwrap(), query)
+            .unwrap()
+            .to_table()
+            .render();
 
         let opts = ResilienceOptions::default();
         for topology in [Topology::Flat, Topology::TwoLevel { ranks_per_node: 3 }] {
-            let (result, report) = parallel_query_on(
-                &mpisim::EventEngine::new(),
+            let (result, coverage) = parallel_query_on(
+                &EventEngine::new(),
                 topology,
                 query,
                 per_rank.clone(),
@@ -526,20 +374,12 @@ mod tests {
                 opts,
             )
             .unwrap();
-            assert!(report.lost.is_empty(), "{topology:?}");
+            assert!(coverage.is_complete(), "{topology:?}");
             assert_eq!(result.to_table().render(), expect, "{topology:?}");
         }
 
-        let (result, report) = parallel_query_on(
-            &mpisim::ThreadEngine,
-            Topology::Flat,
-            query,
-            per_rank,
-            FaultPlan::new(),
-            opts,
-        )
-        .unwrap();
-        assert!(report.lost.is_empty());
+        let (result, coverage) = query_on_threads(query, per_rank).unwrap();
+        assert!(coverage.is_complete());
         assert_eq!(result.to_table().render(), expect);
 
         std::fs::remove_dir_all(&dir).ok();
@@ -548,7 +388,7 @@ mod tests {
     #[test]
     fn engine_generic_query_reports_read_failures() {
         let err = parallel_query_on(
-            &mpisim::EventEngine::new(),
+            &EventEngine::new(),
             Topology::Flat,
             "AGGREGATE count GROUP BY x",
             vec![vec![PathBuf::from("/nonexistent/file.cali")], vec![]],
@@ -561,13 +401,13 @@ mod tests {
 
     #[test]
     fn passthrough_queries_are_rejected() {
-        let err = parallel_query("SELECT *", vec![vec![]]).unwrap_err();
+        let err = query_on_threads("SELECT *", vec![vec![]]).unwrap_err();
         assert!(matches!(err, ParallelError::NotAnAggregation));
     }
 
     #[test]
     fn missing_files_are_reported() {
-        let err = parallel_query(
+        let err = query_on_threads(
             "AGGREGATE count GROUP BY x",
             vec![vec![PathBuf::from("/nonexistent/file.cali")]],
         )

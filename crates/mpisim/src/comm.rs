@@ -38,8 +38,7 @@ use crate::trace::{SharedTrace, TraceKind};
 pub type Tag = u32;
 
 /// What travels over the channels: the same [`Msg`] the task layer
-/// sees, so [`drive_task`](crate::world::drive_task) forwards payloads
-/// without re-boxing.
+/// sees, so the thread engine forwards payloads without re-boxing.
 pub(crate) type Packet = Msg;
 
 /// A point-to-point communication failure.

@@ -15,32 +15,30 @@
 //!   cost zero wall-clock time and 16 000-rank reductions finish in
 //!   seconds.
 //!
-//! The collectives — most importantly the binomial-tree reduction of
-//! the paper's §IV-C — are implemented on top of point-to-point
-//! messages; the fault-tolerant reduction exists exactly once, as the
-//! [`ReduceTask`] state machine both engines drive.
-//!
-//! Beyond the fault-free collectives, the crate models *failure*: a
-//! [`FaultPlan`] scripts rank deaths and delays deterministically
-//! (by communication-op index), [`run_with_faults`] executes a world
-//! under such a plan, and [`reduce_tree_resilient`] is a reduction that
-//! routes around dead subtrees, reporting exactly which ranks'
-//! contributions the result covers ([`ReduceCoverage`]).
+//! The paper's §IV-C binomial-tree reduction exists exactly once, as
+//! the [`ReduceTask`] state machine both engines drive. It is
+//! fault-tolerant by construction: a [`FaultPlan`] scripts rank deaths
+//! and delays deterministically (by communication-op index), the
+//! reduction routes around dead subtrees, and the root reports exactly
+//! which ranks' contributions the result covers ([`ReduceCoverage`]).
+//! A fault-free reduction is the same task under an empty plan.
 //!
 //! ```
-//! use mpisim::{run, reduce_tree};
+//! use mpisim::{Executor, FaultPlan, ReduceTask, ResilienceOptions, ThreadEngine, Topology};
 //!
-//! let results = run(8, |mut comm| {
-//!     let local = (comm.rank() + 1) as u64;
-//!     reduce_tree(&mut comm, local, |a, b| a + b).unwrap()
+//! let outputs = ThreadEngine.run_tasks(8, FaultPlan::new(), |rank, size| {
+//!     let local = move || (rank + 1) as u64;
+//!     ReduceTask::new(rank, size, Topology::Flat, local, |a, b| a + b, ResilienceOptions::default())
 //! });
-//! assert_eq!(results[0], Some(36)); // only the root holds the total
+//! // Only the root holds the total; every rank survived, so it covers all 8.
+//! let (total, coverage) = outputs[0].clone().flatten().unwrap();
+//! assert_eq!(total, 36);
+//! assert!(coverage.is_complete());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod collectives;
 pub mod comm;
 pub mod fault;
 pub mod hb;
@@ -49,14 +47,13 @@ pub mod task;
 pub mod trace;
 pub mod world;
 
-pub use collectives::{
-    allreduce, barrier, broadcast, gather, reduce_tree, reduce_tree_resilient, reduce_tree_timed,
-    reduce_tree_timeout, ReduceCoverage, ResilienceOptions,
-};
 pub use comm::{Comm, CommError, Tag};
 pub use fault::FaultPlan;
 pub use hb::{analyze, Analysis, Diagnostic, Severity as HbSeverity, VClock};
 pub use sched::{EventEngine, SchedConfig, SchedError, SchedStats};
-pub use task::{Action, Executor, Msg, Payload, RankTask, ReduceTask, TaskCtx, Topology, Wake};
+pub use task::{
+    Action, Executor, Msg, Payload, RankTask, ReduceCoverage, ReduceTask, ResilienceOptions,
+    TaskCtx, Topology, Wake,
+};
 pub use trace::{HbTrace, TraceEvent, TraceKind, TracedRun};
-pub use world::{drive_task, run, run_with_faults, ThreadEngine};
+pub use world::{run, run_with_faults, ThreadEngine};

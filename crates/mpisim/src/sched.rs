@@ -868,8 +868,7 @@ impl Executor for EventEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::ResilienceOptions;
-    use crate::task::{ReduceTask, Topology};
+    use crate::task::{ReduceTask, ResilienceOptions, Topology};
     use std::time::Duration;
 
     type SumOutputs = Vec<Option<Option<(u64, crate::ReduceCoverage)>>>;

@@ -19,18 +19,17 @@
 //!   process comfortably.
 //!
 //! The centerpiece task is [`ReduceTask`]: the paper's binomial-tree
-//! reduction (§IV-C) with the fault-tolerant coverage semantics of
-//! [`reduce_tree_resilient`](crate::collectives::reduce_tree_resilient),
+//! reduction (§IV-C) with fault-tolerant coverage semantics,
 //! generalized over a [`Topology`] — flat, or node-local two-level
 //! pre-reduction (intra-node merge, then a cross-node binomial tree, as
-//! in the Caliper/Benchpark MPI-communication-patterns study). Both the
-//! blocking function and the event engine drive *this* state machine,
-//! so there is exactly one implementation of the collective to trust.
+//! in the Caliper/Benchpark MPI-communication-patterns study). Both
+//! engines drive *this* state machine, so there is exactly one
+//! implementation of the collective to trust; a fault-free reduction is
+//! simply a `ReduceTask` run under an empty [`FaultPlan`].
 
 use std::any::Any;
 use std::time::Duration;
 
-use crate::collectives::{ReduceCoverage, ResilienceOptions, TAG_RESIL};
 use crate::comm::{CommError, Tag};
 use crate::fault::FaultPlan;
 use crate::sched::SchedError;
@@ -202,6 +201,81 @@ impl Topology {
     }
 }
 
+/// Base tag of the tree reduction; each tree level uses its own tag
+/// (`TAG_RESIL + level`) so a straggler's late message from one level
+/// can never be mistaken for traffic of a later one.
+const TAG_RESIL: Tag = 0xC0DE + 0x100;
+
+/// Tuning knobs for [`ReduceTask`]'s bounded receives.
+///
+/// `timeout` and `backoff` are *base* (tree level 0) values; the
+/// reduction doubles them per level, because a partner at level *l* may
+/// legitimately stall for its own full timeout budget at every level
+/// below before it can forward. With doubling, the budget at level *l*
+/// strictly exceeds the sum of all lower-level budgets, so cascaded
+/// waits below a slow-but-alive partner never get misread as a death.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResilienceOptions {
+    /// Base wait per receive before suspecting the partner.
+    pub timeout: Duration,
+    /// Additional receive attempts after the first timeout. Retries
+    /// exist for stragglers, not corpses: a delayed partner's message
+    /// arrives during a retry, a dead partner's never does.
+    pub retries: u32,
+    /// Extra wait added per retry attempt (linear backoff): attempt
+    /// *n* waits `timeout + n * backoff`.
+    pub backoff: Duration,
+}
+
+impl Default for ResilienceOptions {
+    fn default() -> ResilienceOptions {
+        ResilienceOptions {
+            timeout: Duration::from_millis(250),
+            retries: 2,
+            backoff: Duration::from_millis(100),
+        }
+    }
+}
+
+impl ResilienceOptions {
+    /// Worst-case total wait for one level-0 partner before declaring
+    /// it lost. (At level *l* the budget is this, times `2^l`.)
+    pub fn total_wait(&self) -> Duration {
+        let mut total = Duration::ZERO;
+        for attempt in 0..=self.retries {
+            total += self.timeout + self.backoff * attempt;
+        }
+        total
+    }
+
+    /// The options with timeout and backoff scaled for tree `level`.
+    fn at_level(&self, level: u32) -> ResilienceOptions {
+        let scale = 1u32 << level.min(20); // 2^20 × base ≫ any sane tree
+        ResilienceOptions {
+            timeout: self.timeout * scale,
+            retries: self.retries,
+            backoff: self.backoff * scale,
+        }
+    }
+}
+
+/// Which ranks' contributions made it into a reduction.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReduceCoverage {
+    /// Ranks whose values are folded into the result, ascending.
+    pub included: Vec<usize>,
+    /// Ranks whose values were lost (dead, or stranded behind a dead
+    /// ancestor), ascending. Complement of `included` in `0..size`.
+    pub lost: Vec<usize>,
+}
+
+impl ReduceCoverage {
+    /// True if every rank's contribution arrived.
+    pub fn is_complete(&self) -> bool {
+        self.lost.is_empty()
+    }
+}
+
 /// One round of a rank's reduction schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Round {
@@ -283,18 +357,32 @@ pub(crate) fn reduce_schedule(rank: usize, size: usize, topology: Topology) -> V
     }
 }
 
-/// The fault-tolerant tree reduction as a [`RankTask`] — the single
-/// implementation behind
-/// [`reduce_tree_resilient`](crate::collectives::reduce_tree_resilient)
-/// (blocking, thread engine) and every event-engine reduction.
+/// The binomial-tree reduction toward rank 0 as a [`RankTask`] — the
+/// single tree reduction both engines run. Rank 0's output is
+/// `Some((merged, coverage))`; every other rank's is `None`.
 ///
-/// Semantics are those documented on `reduce_tree_resilient`: bounded,
-/// retried receives with per-level budget doubling; silent partners are
-/// written off with their whole subtree; the payload carries the set of
-/// ranks folded in, so the root's [`ReduceCoverage`] is exact. `init`
-/// produces the rank's local value lazily on the first step, so on the
-/// event engine the (possibly expensive) local phase runs inside the
-/// scheduler's worker pool.
+/// Fault tolerance is built in rather than layered on:
+///
+/// * every receive is bounded and retried per [`ResilienceOptions`],
+///   with the per-level budget doubling; a partner that stays silent is
+///   written off and the reduction continues without its subtree;
+/// * the payload carries, alongside the partial value, the list of
+///   ranks folded into it, so the root's [`ReduceCoverage`] names
+///   *exactly* which contributions the result covers. A partner that
+///   dies mid-protocol (after absorbing its children, before
+///   forwarding) takes its whole subtree with it, and the coverage
+///   charges exactly that subtree.
+///
+/// The result is deterministic in the fault pattern: merge order is the
+/// tree order restricted to surviving subtrees, so for a fixed set of
+/// lost ranks the merged value equals a serial in-order fold over
+/// `coverage.included` (given associative `merge`; commutativity is
+/// not needed). Under an empty [`FaultPlan`] every rank is included.
+///
+/// `init` produces the rank's local value lazily in the start step, so
+/// on the event engine the (possibly expensive) local phase runs inside
+/// the scheduler's worker pool, and on the thread engine no receive
+/// deadline starts until every rank has finished it.
 pub struct ReduceTask<T, F, I> {
     rank: usize,
     size: usize,
@@ -446,6 +534,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::ThreadEngine;
 
     fn recv_from(rounds: &[Round]) -> Vec<usize> {
         rounds
@@ -530,6 +619,27 @@ mod tests {
                     levels.windows(2).all(|w| w[0] < w[1]),
                     "rank {rank} of {size} rpn {rpn}: {levels:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn reduce_is_deterministic_for_noncommutative_merge() {
+        // The tree applies merge in a fixed structure; with an
+        // associative (but non-commutative) merge the result must be
+        // the in-order concatenation, for every size and topology.
+        for size in [1, 2, 3, 4, 5, 8, 13, 16] {
+            for topology in [Topology::Flat, Topology::TwoLevel { ranks_per_node: 3 }] {
+                let outs = ThreadEngine.run_tasks(size, FaultPlan::new(), move |rank, size| {
+                    let local = move || rank.to_string();
+                    let opts = ResilienceOptions::default();
+                    ReduceTask::new(rank, size, topology, local, |a, b| a + &b, opts)
+                });
+                let (merged, coverage) = outs[0].clone().flatten().expect("root result");
+                let expect: String = (0..size).map(|r| r.to_string()).collect();
+                assert_eq!(merged, expect, "size {size}, {topology:?}");
+                assert!(coverage.is_complete(), "size {size}, {topology:?}");
+                assert!(outs[1..].iter().all(|o| matches!(o, Some(None))));
             }
         }
     }

@@ -4,12 +4,10 @@
 //! every rank is an OS thread, receives block on channels, and timeouts
 //! cost real wall-clock time. [`ThreadEngine`] exposes it behind the
 //! [`Executor`] trait so the same [`RankTask`] state machines run here
-//! and on the virtual-clock [`EventEngine`](crate::sched::EventEngine);
-//! [`drive_task`] is the blocking driver that adapts a task to a
-//! [`Comm`].
+//! and on the virtual-clock [`EventEngine`](crate::sched::EventEngine).
 
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Condvar, Mutex, Once};
 
 use crossbeam::channel::unbounded;
 
@@ -158,23 +156,72 @@ where
         .collect()
 }
 
-/// Drives a [`RankTask`] to completion against a blocking [`Comm`] —
-/// the thread engine's half of the shared-collectives contract. Every
-/// [`Action::Recv`] becomes one (bounded or unbounded) blocking receive
-/// and counts one communication op, every [`TaskCtx::send`] one send
-/// op, so [`FaultPlan`] schedules mean the same thing here as on the
-/// event engine.
-pub fn drive_task<T: RankTask>(comm: &mut Comm, mut task: T) -> T::Out {
-    let mut wake = Wake::Start;
+/// The thread engine's start gate: counts the ranks still in their
+/// start step (a task's local phase — for a query, reading and
+/// aggregating its files). No rank posts a receive, and so no receive
+/// deadline starts, until the count reaches zero. On the event engine
+/// the start step costs zero virtual time; the gate gives the thread
+/// engine the same contract, so a slow local phase on one rank is never
+/// mistaken for a dead partner by another.
+struct StartGate {
+    starting: Mutex<usize>,
+    open: Condvar,
+}
+
+impl StartGate {
+    fn new(size: usize) -> StartGate {
+        StartGate {
+            starting: Mutex::new(size),
+            open: Condvar::new(),
+        }
+    }
+
+    fn wait_open(&self) {
+        let mut starting = self.starting.lock().unwrap_or_else(|e| e.into_inner());
+        while *starting > 0 {
+            starting = self.open.wait(starting).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+/// One rank's pass through the [`StartGate`]. Dropping it counts the
+/// rank out of its start step — also when the rank is killed or panics
+/// inside it, so a dead rank can never hold the gate shut.
+struct Started<'a>(&'a StartGate);
+
+impl Drop for Started<'_> {
+    fn drop(&mut self) {
+        let mut starting = self.0.starting.lock().unwrap_or_else(|e| e.into_inner());
+        *starting -= 1;
+        if *starting == 0 {
+            self.0.open.notify_all();
+        }
+    }
+}
+
+/// Builds this rank's task with `make` and drives it to completion
+/// against a blocking [`Comm`]. Every [`Action::Recv`] becomes one
+/// (bounded or unbounded) blocking receive and counts one
+/// communication op, every [`TaskCtx::send`] one send op, so
+/// [`FaultPlan`] schedules mean the same thing here as on the event
+/// engine.
+fn drive_task<T, F>(comm: &mut Comm, make: &F, gate: &StartGate) -> T::Out
+where
+    T: RankTask,
+    F: Fn(usize, usize) -> T,
+{
+    let (mut task, mut action) = {
+        let _started = Started(gate);
+        let mut task = make(comm.rank(), comm.size());
+        let action = task.step(&mut CommTaskCtx { comm }, Wake::Start);
+        (task, action)
+    };
+    gate.wait_open();
     loop {
-        let action = {
-            let mut ctx = CommTaskCtx { comm };
-            task.step(&mut ctx, wake)
-        };
         match action {
             Action::Done => return task.into_output(),
             Action::Recv { src, tag, timeout } => {
-                wake = match comm.recv_msg(src, tag, timeout) {
+                let wake = match comm.recv_msg(src, tag, timeout) {
                     Ok(msg) => Wake::Message(msg),
                     Err(e) if e.is_timeout() => Wake::Timeout,
                     // The inbox cannot disconnect while this rank lives
@@ -182,6 +229,7 @@ pub fn drive_task<T: RankTask>(comm: &mut Comm, mut task: T) -> T::Out {
                     // shutdown race is indistinguishable from silence.
                     Err(_) => Wake::Timeout,
                 };
+                action = task.step(&mut CommTaskCtx { comm }, wake);
             }
         }
     }
@@ -209,6 +257,10 @@ impl TaskCtx for CommTaskCtx<'_> {
 /// thread per rank, blocking receives, wall-clock timeouts. Accurate to
 /// real concurrency (including races) but capped at a few hundred
 /// ranks; use [`EventEngine`](crate::sched::EventEngine) beyond that.
+///
+/// Every rank runs its start step before any rank posts a receive, so
+/// wall-clock receive deadlines start only once all local phases are
+/// done — however long one rank's takes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadEngine;
 
@@ -223,10 +275,8 @@ impl Executor for ThreadEngine {
         T::Out: Send + 'static,
         F: Fn(usize, usize) -> T + Send + Sync + 'static,
     {
-        run_with_faults(size, plan, move |mut comm| {
-            let task = make(comm.rank(), comm.size());
-            drive_task(&mut comm, task)
-        })
+        let gate = Arc::new(StartGate::new(size));
+        run_with_faults(size, plan, move |mut comm| drive_task(&mut comm, &make, &gate))
     }
 
     fn run_tasks_traced<T, F>(&self, size: usize, plan: FaultPlan, make: F) -> TracedRun<T::Out>
@@ -236,9 +286,9 @@ impl Executor for ThreadEngine {
         F: Fn(usize, usize) -> T + Send + Sync + 'static,
     {
         let shared = Arc::new(SharedTrace::new(size));
+        let gate = Arc::new(StartGate::new(size));
         let outputs = run_with_faults_inner(size, plan, Some(Arc::clone(&shared)), move |mut comm| {
-            let task = make(comm.rank(), comm.size());
-            drive_task(&mut comm, task)
+            drive_task(&mut comm, &make, &gate)
         });
         let trace = Arc::try_unwrap(shared)
             .expect("all rank threads joined, no collector clones remain")

@@ -1,17 +1,18 @@
 //! Failure injection for the simulated MPI world: scripted rank deaths
-//! and delays against the tree reduction.
+//! and delays against the tree reduction, on the thread engine (real
+//! threads, wall-clock deadlines).
 //!
-//! The deadlock regression and lost-set tests here pin the failure
-//! model documented in DESIGN.md: a dead rank makes its parent's
-//! bounded receive time out (never hang), and the resilient reduction
-//! reports *exactly* which ranks' contributions the merged result
-//! covers.
+//! The lost-set tests here pin the failure model documented in
+//! DESIGN.md: a dead rank makes its parent's bounded receive time out
+//! (never hang), and the reduction reports *exactly* which ranks'
+//! contributions the merged result covers. The slow-start test pins
+//! the other half: a live rank that is merely slow in its local phase
+//! is never written off.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mpisim::{
-    reduce_tree, reduce_tree_resilient, reduce_tree_timeout, FaultPlan, ReduceCoverage,
-    ResilienceOptions, run, run_with_faults,
+    Executor, FaultPlan, ReduceCoverage, ReduceTask, ResilienceOptions, ThreadEngine, Topology,
 };
 
 /// Runs `f` on a watchdog thread; panics if it does not finish within
@@ -45,50 +46,31 @@ fn bits_of(ranks: &[usize]) -> u64 {
     ranks.iter().map(|&r| rank_bit(r)).fold(0, |a, b| a | b)
 }
 
-#[test]
-fn killed_rank_turns_deadlock_into_timeout() {
-    // Rank 1's only role in the 4-rank tree is to send to rank 0 at
-    // level 0. Killing it at its first comm op leaves rank 0 waiting on
-    // a message that never comes: a plain reduce_tree would hang, the
-    // bounded variant must report a timeout promptly.
-    let results = with_deadline(Duration::from_secs(20), || {
-        run_with_faults(4, FaultPlan::new().kill(1, 0), |mut comm| {
-            let t0 = Instant::now();
-            let mine = rank_bit(comm.rank());
-            let out = reduce_tree_timeout(&mut comm, mine, |a, b| a | b, Duration::from_millis(100));
-            (out, t0.elapsed())
+type Outputs = Vec<Option<Option<(u64, ReduceCoverage)>>>;
+
+/// A flat rank-bit OR-reduction over `size` thread-engine ranks under
+/// `plan`, bounded by a watchdog.
+fn reduce_bits(size: usize, plan: FaultPlan, opts: ResilienceOptions) -> Outputs {
+    with_deadline(Duration::from_secs(30), move || {
+        ThreadEngine.run_tasks(size, plan, move |rank, size| {
+            ReduceTask::new(rank, size, Topology::Flat, move || rank_bit(rank), |a, b| a | b, opts)
         })
-    });
-    assert!(results[1].is_none(), "killed rank must not return");
-    let (root_result, root_elapsed) = results[0].as_ref().unwrap();
-    let err = root_result.as_ref().unwrap_err();
-    assert!(err.is_timeout(), "expected a timeout, got: {err}");
-    assert!(
-        *root_elapsed < Duration::from_secs(10),
-        "timeout took {root_elapsed:?}: the wait is not bounded"
-    );
-    // Ranks 2 and 3 are upstream of the failure at level 0 and finish
-    // their sends/receives; rank 2's final send races rank 0's teardown
-    // so either a clean retirement or a disconnect is acceptable — the
-    // only outlawed outcome is a hang (covered by the deadline).
-    assert!(results[3].is_some());
+    })
+}
+
+/// Rank 0's merged value and coverage.
+fn root(outputs: &Outputs) -> &(u64, ReduceCoverage) {
+    outputs[0]
+        .as_ref()
+        .expect("rank 0 survives")
+        .as_ref()
+        .expect("rank 0 is the root")
 }
 
 #[test]
 fn resilient_reduction_reports_a_killed_leaf_exactly() {
-    let results = with_deadline(Duration::from_secs(20), || {
-        run_with_faults(8, FaultPlan::new().kill(5, 0), |mut comm| {
-            let mine = rank_bit(comm.rank());
-            reduce_tree_resilient(&mut comm, mine, |a, b| a | b, &quick_opts())
-        })
-    });
-    let (merged, coverage) = results[0]
-        .as_ref()
-        .unwrap()
-        .as_ref()
-        .unwrap()
-        .as_ref()
-        .unwrap();
+    let results = reduce_bits(8, FaultPlan::new().kill(5, 0), quick_opts());
+    let (merged, coverage) = root(&results);
     assert_eq!(coverage.lost, vec![5], "exact lost set");
     assert_eq!(coverage.included, vec![0, 1, 2, 3, 4, 6, 7]);
     assert_eq!(*merged, bits_of(&coverage.included));
@@ -103,42 +85,23 @@ fn resilient_reduction_loses_a_dead_internal_nodes_subtree() {
     // mid-protocol failure. The root must charge the whole {2, 3}
     // subtree as lost, and the merged value must cover exactly the
     // survivors' contributions.
-    let results = with_deadline(Duration::from_secs(20), || {
-        run_with_faults(8, FaultPlan::new().kill(2, 1), |mut comm| {
-            let mine = rank_bit(comm.rank());
-            reduce_tree_resilient(&mut comm, mine, |a, b| a | b, &quick_opts())
-        })
-    });
+    let results = reduce_bits(8, FaultPlan::new().kill(2, 1), quick_opts());
     assert!(results[2].is_none());
-    let (merged, coverage) = results[0]
-        .as_ref()
-        .unwrap()
-        .as_ref()
-        .unwrap()
-        .as_ref()
-        .unwrap();
+    let (merged, coverage) = root(&results);
     assert_eq!(coverage.lost, vec![2, 3]);
     assert_eq!(coverage.included, vec![0, 1, 4, 5, 6, 7]);
     assert_eq!(*merged, bits_of(&coverage.included));
 }
 
 #[test]
-fn resilient_matches_plain_reduction_when_fault_free() {
+fn fault_free_reduction_covers_every_rank() {
     for size in [1usize, 2, 3, 5, 8, 13] {
-        let resilient = run(size, |mut comm| {
-            let mine = rank_bit(comm.rank());
-            reduce_tree_resilient(&mut comm, mine, |a, b| a | b, &ResilienceOptions::default())
-                .unwrap()
-        });
-        let plain = run(size, |mut comm| {
-            let mine = rank_bit(comm.rank());
-            reduce_tree(&mut comm, mine, |a, b| a | b).unwrap()
-        });
-        let (merged, coverage) = resilient[0].clone().unwrap();
-        assert_eq!(Some(merged), plain[0], "size {size}");
+        let results = reduce_bits(size, FaultPlan::new(), ResilienceOptions::default());
+        let (merged, coverage) = root(&results);
+        assert_eq!(*merged, bits_of(&(0..size).collect::<Vec<_>>()), "size {size}");
         assert!(coverage.is_complete(), "size {size}: {coverage:?}");
         assert_eq!(coverage.included, (0..size).collect::<Vec<_>>());
-        assert!(resilient[1..].iter().all(Option::is_none));
+        assert!(results[1..].iter().all(|r| matches!(r, Some(None))));
     }
 }
 
@@ -149,25 +112,39 @@ fn delayed_straggler_is_still_included() {
     // total) comfortably covers the straggler. Nothing may be lost.
     let opts = quick_opts();
     assert!(opts.total_wait() > Duration::from_millis(150));
-    let results = with_deadline(Duration::from_secs(20), move || {
-        run_with_faults(
-            4,
-            FaultPlan::new().delay(1, 0, Duration::from_millis(150)),
-            move |mut comm| {
-                let mine = rank_bit(comm.rank());
-                reduce_tree_resilient(&mut comm, mine, |a, b| a | b, &opts)
-            },
-        )
-    });
-    let (merged, coverage) = results[0]
-        .as_ref()
-        .unwrap()
-        .as_ref()
-        .unwrap()
-        .as_ref()
-        .unwrap();
+    let results = reduce_bits(4, FaultPlan::new().delay(1, 0, Duration::from_millis(150)), opts);
+    let (merged, coverage) = root(&results);
     assert!(coverage.is_complete(), "{coverage:?}");
     assert_eq!(*merged, bits_of(&[0, 1, 2, 3]));
+}
+
+#[test]
+fn slow_start_step_is_not_a_lost_rank() {
+    // Rank 1's local phase (its `init`, run in the start step) takes
+    // several times the whole receive budget. The thread engine must
+    // not start rank 0's receive deadline until every rank has left
+    // its start step — rank 1 sends inside that step, so the message
+    // is already queued when the deadline starts, and nothing is lost.
+    let opts = ResilienceOptions {
+        timeout: Duration::from_millis(20),
+        retries: 1,
+        backoff: Duration::from_millis(10),
+    };
+    let slow = opts.total_wait() * 5;
+    let results = with_deadline(Duration::from_secs(30), move || {
+        ThreadEngine.run_tasks(2, FaultPlan::new(), move |rank, size| {
+            let init = move || {
+                if rank == 1 {
+                    std::thread::sleep(slow);
+                }
+                rank_bit(rank)
+            };
+            ReduceTask::new(rank, size, Topology::Flat, init, |a, b| a | b, opts)
+        })
+    });
+    let (merged, coverage) = root(&results);
+    assert!(coverage.is_complete(), "a slow local phase lost a rank: {coverage:?}");
+    assert_eq!(*merged, bits_of(&[0, 1]));
 }
 
 #[test]
@@ -183,15 +160,9 @@ fn every_single_rank_kill_is_self_consistent() {
         // at ops the victim actually reaches.
         let victim_ops = if victim % 2 == 1 { 1 } else { 2 };
         for op in 0..victim_ops as u64 {
-            let results = with_deadline(Duration::from_secs(30), move || {
-                run_with_faults(size, FaultPlan::new().kill(victim, op), |mut comm| {
-                    let mine = rank_bit(comm.rank());
-                    reduce_tree_resilient(&mut comm, mine, |a, b| a | b, &quick_opts())
-                })
-            });
+            let results = reduce_bits(size, FaultPlan::new().kill(victim, op), quick_opts());
             assert!(results[victim].is_none(), "victim {victim} op {op}");
-            let root = results[0].as_ref().unwrap().as_ref().unwrap();
-            let (merged, ReduceCoverage { included, lost }) = root.as_ref().unwrap();
+            let (merged, ReduceCoverage { included, lost }) = root(&results);
             let mut all: Vec<usize> = included.iter().chain(lost.iter()).copied().collect();
             all.sort_unstable();
             assert_eq!(all, (0..size).collect::<Vec<_>>(), "victim {victim} op {op}");

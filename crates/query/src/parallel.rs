@@ -213,8 +213,7 @@ impl From<ParseError> for ParallelQueryError {
 }
 
 /// One worker's contribution to a run, for the per-worker timing
-/// breakdown (the shared-memory analogue of `ParallelTimings` in
-/// `cali-cli`).
+/// breakdown.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerTimings {
     /// Seconds spent reading and decoding input files.

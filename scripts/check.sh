@@ -77,6 +77,43 @@ fi
 grep -q "ok" "$smoke/lenient.out"
 cargo run -q --release -p caliper-bench --bin fig4 -- --quick --max-np 8 --kill 3 \
     > /dev/null
+# fig4 at np = 1 has no reduction levels; an empty f64 sum is -0.0, so
+# the harness must never print a negative zero.
+cargo run -q --release -p caliper-bench --bin fig4 -- --quick --max-np 2 \
+    > "$smoke/fig4.out" 2>/dev/null
+if grep -q -- '-0\.0' "$smoke/fig4.out"; then
+    echo "check.sh: fig4 printed a negative zero" >&2
+    exit 1
+fi
+
+# Engine-agreement gate: every mpi-caliquery run is one ReduceTask
+# reduction, so neither the engine, the topology, nor a straggler may
+# change the answer — each run exits 0 with byte-identical stdout.
+mpq=./target/release/mpi-caliquery
+for i in 0 1 2 3; do
+    { printf '__rec=attr,id=0,name=kernel,type=string,prop=default\n'
+      printf '__rec=attr,id=1,name=time.duration,type=double,prop=asvalue\\,aggregatable\n'
+      printf '__rec=ctx,attr=0,data=k%s,attr=1,data=%s\n' "$i" "$((i + 1))"
+      printf '__rec=ctx,attr=0,data=shared,attr=1,data=%s.5\n' "$i"
+    } > "$smoke/agree-in$i.cali"
+done
+aq="AGGREGATE count, sum(time.duration) GROUP BY kernel ORDER BY kernel"
+"$mpq" -q "$aq" "$smoke"/agree-in*.cali > "$smoke/agree-default.out"
+"$mpq" --engine event --workers 2 -q "$aq" "$smoke"/agree-in*.cali > "$smoke/agree-event.out"
+"$mpq" --nodes 2 -q "$aq" "$smoke"/agree-in*.cali > "$smoke/agree-nodes.out"
+"$mpq" --faults 'mpi.delay=at(1,0,20)' -q "$aq" "$smoke"/agree-in*.cali \
+    > "$smoke/agree-delay.out"
+grep -q "shared" "$smoke/agree-default.out" || {
+    echo "check.sh: engine-agreement corpus produced no rows" >&2
+    exit 1
+}
+for run in event nodes delay; do
+    cmp -s "$smoke/agree-default.out" "$smoke/agree-$run.out" || {
+        echo "check.sh: mpi-caliquery stdout differs between the default run and '$run'" >&2
+        exit 1
+    }
+done
+echo "check.sh: engine agreement: threads/event/two-level/straggler runs byte-identical"
 
 # Event-engine scale smoke: a 2048-rank resilient tree reduction with a
 # seeded kill plan must finish inside a strict wall-clock budget (a

@@ -3,8 +3,13 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
-use cali_cli::{parallel_query, read_files};
+use cali_cli::{parallel_query_on, read_files, ParallelError};
+use caliper_repro::mpi::{
+    EventEngine, Executor, FaultPlan, ReduceCoverage, ReduceTask, ResilienceOptions, ThreadEngine,
+    Topology,
+};
 use caliper_repro::prelude::*;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -65,8 +70,28 @@ fn file_roundtrip_preserves_query_results() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Run `query` on one of the two mpisim engines.
+fn query_on(
+    event: bool,
+    topology: Topology,
+    query: &str,
+    per_rank: Vec<Vec<PathBuf>>,
+    plan: FaultPlan,
+    opts: ResilienceOptions,
+) -> Result<(QueryResult, ReduceCoverage), ParallelError> {
+    if event {
+        let engine = EventEngine::with_workers(2);
+        parallel_query_on(&engine, topology, query, per_rank, plan, opts)
+    } else {
+        parallel_query_on(&ThreadEngine, topology, query, per_rank, plan, opts)
+    }
+}
+
 #[test]
 fn parallel_query_equals_serial_query() {
+    // The answer must not depend on how it was computed: every engine,
+    // topology and rank count renders byte-identically to the serial
+    // query over the same files.
     let dir = temp_dir("parallel");
     let paths = write_rank_files(&dir, 7);
 
@@ -74,20 +99,54 @@ fn parallel_query_equals_serial_query() {
                  WHERE kernel GROUP BY kernel";
 
     let merged = read_files(&paths).unwrap();
-    let serial = run_query(&merged, query).unwrap();
+    let serial = run_query(&merged, query).unwrap().to_table().render();
 
-    for np in [1, 2, 3, 7] {
-        let mut per_rank: Vec<Vec<PathBuf>> = vec![Vec::new(); np];
-        for (i, p) in paths.iter().enumerate() {
-            per_rank[i % np].push(p.clone());
+    for event in [false, true] {
+        for topology in [Topology::Flat, Topology::TwoLevel { ranks_per_node: 3 }] {
+            for np in [1, 2, 3, 7] {
+                let mut per_rank: Vec<Vec<PathBuf>> = vec![Vec::new(); np];
+                for (i, p) in paths.iter().enumerate() {
+                    per_rank[i % np].push(p.clone());
+                }
+                let plan = FaultPlan::new();
+                let opts = ResilienceOptions::default();
+                let (parallel, coverage) =
+                    query_on(event, topology, query, per_rank, plan, opts).unwrap();
+                let case = format!("event {event}, {topology:?}, np {np}");
+                assert_eq!(serial, parallel.to_table().render(), "{case}");
+                assert_eq!(coverage.included.len(), np, "{case}");
+            }
         }
-        let (parallel, timings) = parallel_query(query, per_rank).unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn killed_rank_result_equals_serial_query_over_survivors() {
+    let dir = temp_dir("killed");
+    let paths = write_rank_files(&dir, 7);
+    let query = "AGGREGATE sum(sum#time.duration), sum(aggregate.count) \
+                 WHERE kernel GROUP BY kernel";
+    let opts = ResilienceOptions {
+        timeout: Duration::from_millis(100),
+        retries: 1,
+        backoff: Duration::from_millis(50),
+    };
+    for event in [false, true] {
+        let per_rank: Vec<Vec<PathBuf>> = paths.iter().map(|p| vec![p.clone()]).collect();
+        // Rank 2 dies at its first op (the receive from rank 3), so
+        // the {2, 3} subtree is lost.
+        let plan = FaultPlan::new().kill(2, 0);
+        let (partial, coverage) =
+            query_on(event, Topology::Flat, query, per_rank, plan, opts).unwrap();
+        assert_eq!(coverage.lost, vec![2, 3], "event {event}");
+        let survivors: Vec<PathBuf> = coverage.included.iter().map(|&r| paths[r].clone()).collect();
+        let serial = run_query(&read_files(&survivors).unwrap(), query).unwrap();
         assert_eq!(
             serial.to_table().render(),
-            parallel.to_table().render(),
-            "np = {np}"
+            partial.to_table().render(),
+            "event {event}"
         );
-        assert_eq!(timings.local_s.len(), np);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -189,27 +248,32 @@ fn tree_reduction_inside_mpisim_matches_pipeline_merge() {
     }
     let reference = reference.unwrap().finish().to_table().render();
 
-    // mpisim: one rank per dataset, reduce_tree over pipelines.
+    // mpisim: one rank per dataset, the tree reduction over pipelines.
     let datasets = Arc::new(datasets);
     let spec = Arc::new(spec);
-    let results = caliper_repro::mpi::run(6, move |mut comm| {
-        let ds = &datasets[comm.rank()];
-        let mut p = Pipeline::new((*spec).clone(), Arc::clone(&ds.store));
-        p.process_dataset(ds);
-        caliper_repro::mpi::reduce_tree(&mut comm, p, |mut a, b| {
+    let results = ThreadEngine.run_tasks(6, FaultPlan::new(), move |rank, size| {
+        let datasets = Arc::clone(&datasets);
+        let spec = Arc::clone(&spec);
+        let local = move || {
+            let ds = &datasets[rank];
+            let mut p = Pipeline::new((*spec).clone(), Arc::clone(&ds.store));
+            p.process_dataset(ds);
+            p
+        };
+        let merge = |mut a: Pipeline, b| {
             a.merge(b);
             a
-        })
-        .unwrap()
+        };
+        ReduceTask::new(rank, size, Topology::Flat, local, merge, ResilienceOptions::default())
     });
-    let from_tree = results
+    let (root, coverage) = results
         .into_iter()
         .next()
-        .unwrap()
-        .expect("root result")
-        .finish()
-        .to_table()
-        .render();
+        .flatten()
+        .flatten()
+        .expect("root result");
+    assert!(coverage.is_complete());
+    let from_tree = root.finish().to_table().render();
 
     assert_eq!(reference, from_tree);
 }
