@@ -31,7 +31,8 @@ Options:
   --timings           print the per-phase timing breakdown to stderr:
                       max local read+process time over ranks, summed
                       tree-reduction merge time, and root finish time
-                      (plus the scheduler's counters on --engine event)
+                      (plus the scheduler's counters and its
+                      collect/step/apply phase times on --engine event)
   --engine NAME       execution engine: 'threads' (one OS thread per
                       rank; the default) or 'event' (deterministic
                       virtual-clock scheduler — use for rank counts in
@@ -158,6 +159,13 @@ fn finish_run(
                 "# sched max queue depth: {}",
                 m.gauge_volatile("mpisim.sched.max_queue_depth").get()
             );
+            for phase in ["collect", "step", "apply"] {
+                eprintln!(
+                    "# sched {:<17}{:.6} s",
+                    format!("{phase}:"),
+                    m.timer(&format!("mpisim.sched.{phase}")).total_ns() as f64 / 1e9
+                );
+            }
         }
     }
     if coverage.is_complete() {

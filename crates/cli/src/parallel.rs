@@ -151,9 +151,10 @@ pub fn timings_report() -> String {
     )
 }
 
-/// Per-rank local aggregation state: the pipeline, or the read error
-/// that poisoned it.
-type RankPipeline = Result<Pipeline, String>;
+/// Per-rank local aggregation state: the pipeline (`None` for a rank
+/// with no files — the merge identity), or the read error that
+/// poisoned it. Boxed, so the reduction moves pointers, not pipelines.
+type RankPipeline = Result<Option<Box<Pipeline>>, String>;
 
 /// A validated query run setup: the parsed spec, the world size, and
 /// the shared per-rank file assignment.
@@ -179,8 +180,11 @@ type InitFn = Box<dyn FnOnce() -> RankPipeline + Send>;
 type QueryTask = ReduceTask<RankPipeline, MergeFn, InitFn>;
 
 /// The shared task factory of the query paths: each rank lazily reads +
-/// aggregates its files, then reduces up the tree. The timing handles
-/// are resolved here, once per run, and shared by every rank's task.
+/// aggregates its files, then reduces up the tree. A rank without files
+/// contributes the merge identity and builds nothing — except rank 0,
+/// whose pipeline's input store types the key columns when the root
+/// flushes. The timing handles are resolved here, once per run, and
+/// shared by every rank's task.
 fn query_task_factory(
     spec: Arc<caliper_query::QuerySpec>,
     files: Arc<Vec<Vec<PathBuf>>>,
@@ -191,24 +195,29 @@ fn query_task_factory(
     let local_max = m.gauge_volatile(LOCAL_MAX_NS);
     let merge_time = m.timer(MERGE);
     move |rank, size| {
-        let spec = Arc::clone(&spec);
-        let files = Arc::clone(&files);
-        let local_max = local_max.clone();
-        let init: InitFn = Box::new(move || -> RankPipeline {
-            let start = Instant::now();
-            let ds = read_files(&files[rank]).map_err(|e| e.to_string())?;
-            let mut pipeline = Pipeline::new((*spec).clone(), Arc::clone(&ds.store));
-            pipeline.process_dataset(&ds);
-            local_max.set_max(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            Ok(pipeline)
-        });
+        let init: InitFn = if rank != 0 && files[rank].is_empty() {
+            Box::new(|| Ok(None))
+        } else {
+            let spec = Arc::clone(&spec);
+            let files = Arc::clone(&files);
+            let local_max = local_max.clone();
+            Box::new(move || -> RankPipeline {
+                let start = Instant::now();
+                let ds = read_files(&files[rank]).map_err(|e| e.to_string())?;
+                let mut pipeline = Pipeline::new((*spec).clone(), Arc::clone(&ds.store));
+                pipeline.process_dataset(&ds);
+                local_max.set_max(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+                Ok(Some(Box::new(pipeline)))
+            })
+        };
         let merge_time = merge_time.clone();
         let merge: MergeFn = Box::new(move |a: RankPipeline, b| match (a, b) {
-            (Ok(mut acc), Ok(incoming)) => {
+            (Ok(Some(mut acc)), Ok(Some(incoming))) => {
                 let _timed = merge_time.start();
-                acc.merge(incoming);
-                Ok(acc)
+                acc.merge(*incoming);
+                Ok(Some(acc))
             }
+            (Ok(acc), Ok(None)) | (Ok(None), Ok(acc)) => Ok(acc),
             (Err(e), _) | (_, Err(e)) => Err(e),
         });
         ReduceTask::new(rank, size, topology, init, merge, opts)
@@ -224,7 +233,9 @@ fn finish_query_outputs(
         .and_then(Option::take)
         .ok_or_else(|| ParallelError::Io("rank 0 was killed by the fault plan".to_string()))?;
     let (pipeline, coverage) = root.expect("rank 0 is the reduction root");
-    let pipeline = pipeline.map_err(ParallelError::Io)?;
+    let pipeline = pipeline
+        .map_err(ParallelError::Io)?
+        .expect("rank 0 always builds its pipeline");
     let _timed = metrics::global().timer(FINISH).start();
     Ok((pipeline.finish(), coverage))
 }

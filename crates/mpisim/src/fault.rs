@@ -28,6 +28,7 @@
 //! registry, so one `CALI_FAULTS` setting can script I/O faults and
 //! simulated rank deaths together.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use caliper_faults::{sites, FaultAction, FaultRule, SpecError};
@@ -48,8 +49,11 @@ use caliper_faults::{sites, FaultAction, FaultRule, SpecError};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    kills: Vec<(usize, u64)>,
-    delays: Vec<(usize, u64, Duration)>,
+    /// Kill points, keyed `(rank, op)`: every communication op looks
+    /// itself up here, so membership must not scan the plan.
+    kills: BTreeSet<(usize, u64)>,
+    /// Total scripted delay per `(rank, op)` point.
+    delays: BTreeMap<(usize, u64), Duration>,
 }
 
 impl FaultPlan {
@@ -107,7 +111,7 @@ impl FaultPlan {
     /// (0-based). The rank's thread unwinds at that point; its return
     /// value in the run's output is `None`.
     pub fn kill(mut self, rank: usize, at_op: u64) -> FaultPlan {
-        self.kills.push((rank, at_op));
+        self.kills.insert((rank, at_op));
         self
     }
 
@@ -115,7 +119,7 @@ impl FaultPlan {
     /// operation `at_op` (0-based). The rank survives; it is merely a
     /// straggler.
     pub fn delay(mut self, rank: usize, at_op: u64, by: Duration) -> FaultPlan {
-        self.delays.push((rank, at_op, by));
+        *self.delays.entry((rank, at_op)).or_default() += by;
         self
     }
 
@@ -149,11 +153,14 @@ impl FaultPlan {
             return plan;
         }
         let mut state = seed;
+        // Victims in draw order (their kill ops are drawn in that order
+        // afterwards); the set only answers membership.
         let mut victims = Vec::new();
+        let mut drawn = BTreeSet::new();
         // Bounded draw loop: at most size-1 distinct victims exist.
         while victims.len() < kills.min(size - 1) {
             let rank = 1 + (splitmix64(&mut state) % (size as u64 - 1)) as usize;
-            if !victims.contains(&rank) {
+            if drawn.insert(rank) {
                 victims.push(rank);
             }
         }
@@ -165,15 +172,11 @@ impl FaultPlan {
     }
 
     pub(crate) fn kill_at(&self, rank: usize, op: u64) -> bool {
-        self.kills.iter().any(|&(r, o)| r == rank && o == op)
+        self.kills.contains(&(rank, op))
     }
 
     pub(crate) fn delay_at(&self, rank: usize, op: u64) -> Option<Duration> {
-        self.delays
-            .iter()
-            .filter(|&&(r, o, _)| r == rank && o == op)
-            .map(|&(_, _, d)| d)
-            .reduce(|a, b| a + b)
+        self.delays.get(&(rank, op)).copied()
     }
 }
 

@@ -7,7 +7,7 @@
 //! * virtual time is a `u64` nanosecond counter that only ever jumps to
 //!   the timestamp of the next scheduled event — nothing sleeps;
 //! * a send is stamped at the sender's local virtual time and delivered
-//!   `latency` later as a heap event;
+//!   `latency` later as a queued event;
 //! * a bounded receive registers a **timer event** at its virtual
 //!   deadline — timeouts are first-class events, so a reduction that
 //!   waits out seconds of (virtual) timeout budget for dead partners
@@ -18,9 +18,9 @@
 //!
 //! # Determinism
 //!
-//! Events are ordered by `(virtual time, sequence number)`; sequence
-//! numbers are assigned in deterministic (rank-ascending) order when
-//! effects are applied. All events sharing the minimal timestamp form a
+//! Events are ordered by virtual time, then by scheduling order, which
+//! is deterministic: a batch's effects are scheduled in rank-ascending
+//! order. All events sharing the minimal timestamp form a
 //! **batch**: their tasks are stepped — possibly in parallel on a
 //! bounded worker pool — against an immutable snapshot of the batch
 //! start state, and their effects (sends, timers, deaths) are applied
@@ -31,7 +31,7 @@
 //!
 //! # Virtual deadlock
 //!
-//! If the event heap drains while live tasks still wait without a
+//! If the event queue drains while live tasks still wait without a
 //! timeout, no message can ever arrive: the scheduler reports a
 //! structured [`SchedError::Deadlock`] naming the blocked ranks and any
 //! wait cycles among them (via
@@ -49,9 +49,9 @@
 //! that flag, and the recorded trace — timestamps included, since the
 //! clock is virtual — is byte-identical for any worker-pool size.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
+use std::time::Instant;
 
 use crate::comm::{CommError, Tag};
 use crate::fault::{FaultPlan, RankKilled};
@@ -65,8 +65,12 @@ pub type SimTime = u64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedConfig {
     /// Worker threads stepping ready tasks within one batch. `0` and
-    /// `1` both mean the single-threaded core. Pool size never changes
-    /// results — only wall-clock time.
+    /// `1` both mean the single-threaded core. A batch's ranks are
+    /// dealt to the workers' lanes strided in rank order — the `g`-th
+    /// distinct rank of the batch goes to lane `g % workers` — so a run
+    /// of expensive low ranks (the file-reading ranks of a round-robin
+    /// assignment) is shared evenly; the calling thread steps lane 0
+    /// itself. Pool size never changes results — only wall-clock time.
     pub workers: usize,
     /// Virtual delivery latency per message, in nanoseconds (≥ 1 so a
     /// message can never arrive in the batch that sent it).
@@ -94,7 +98,7 @@ pub struct SchedStats {
     /// Virtual timestamp of the last *acted-upon* event — the virtual
     /// makespan of the run (stale timers do not extend it).
     pub virtual_time_ns: SimTime,
-    /// High-water mark of the event heap.
+    /// High-water mark of the event queue.
     pub max_queue_depth: usize,
     /// Messages sent (and accepted for delivery).
     pub messages: u64,
@@ -119,7 +123,7 @@ type CoreRun<Out> = (Result<Vec<Option<Out>>, SchedError>, SchedStats, HbTrace);
 /// the former bare "virtual deadlock" panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchedError {
-    /// The event heap drained while live ranks still waited on messages
+    /// The event queue drained while live ranks still waited on messages
     /// that can never arrive.
     Deadlock {
         /// Wait cycles among the blocked ranks, each listed in wait
@@ -130,7 +134,7 @@ pub enum SchedError {
         cycles: Vec<Vec<usize>>,
         /// Every blocked rank, ascending.
         blocked: Vec<usize>,
-        /// Virtual time at which the heap drained.
+        /// Virtual time at which the queue drained.
         at_ns: SimTime,
     },
 }
@@ -189,14 +193,7 @@ impl EventEngine {
     }
 }
 
-/// A scheduled event. Ordered by `(time, seq)` — `seq` makes the order
-/// total and deterministic.
-struct Ev {
-    time: SimTime,
-    seq: u64,
-    kind: EvKind,
-}
-
+/// A scheduled event; its virtual time is the key of its queue bucket.
 enum EvKind {
     /// Initial wake of `rank` at time 0.
     Start { rank: usize },
@@ -215,24 +212,6 @@ impl EvKind {
     }
 }
 
-impl PartialEq for Ev {
-    fn eq(&self, other: &Ev) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Ev) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    /// Reversed so the `BinaryHeap` pops the *earliest* event.
-    fn cmp(&self, other: &Ev) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
 /// An active bounded or unbounded receive.
 struct Wait {
     src: Option<usize>,
@@ -245,10 +224,19 @@ impl Wait {
     }
 }
 
+/// Where a rank's task stands.
+enum Slot<T: RankTask> {
+    /// Running: blocked on a wait, or about to be stepped.
+    Live(T),
+    /// Finished, with its output.
+    Done(T::Out),
+    /// Killed by the fault plan.
+    Dead,
+}
+
 /// Everything the scheduler tracks per rank.
 struct RankState<T: RankTask> {
-    task: Option<T>,
-    out: Option<T::Out>,
+    slot: Slot<T>,
     /// Delivered but unmatched messages, in delivery order.
     buffer: Vec<Msg>,
     wait: Option<Wait>,
@@ -263,38 +251,31 @@ struct RankState<T: RankTask> {
     local_now: SimTime,
     /// Communication ops issued — the [`FaultPlan`] time axis.
     ops: u64,
-    alive: bool,
-    done: bool,
 }
 
 impl<T: RankTask> RankState<T> {
     fn new(task: T) -> RankState<T> {
         RankState {
-            task: Some(task),
-            out: None,
+            slot: Slot::Live(task),
             buffer: Vec::new(),
             wait: None,
             wait_gen: 0,
             local_now: 0,
             ops: 0,
-            alive: true,
-            done: false,
         }
     }
 
-    /// Placeholder used to move a state into a worker and back.
-    fn vacant() -> RankState<T> {
-        RankState {
-            task: None,
-            out: None,
-            buffer: Vec::new(),
-            wait: None,
-            wait_gen: 0,
-            local_now: 0,
-            ops: 0,
-            alive: false,
-            done: false,
-        }
+    fn is_live(&self) -> bool {
+        matches!(self.slot, Slot::Live(_))
+    }
+
+    /// The fault plan killed the rank: drop its task and its inbox.
+    fn kill(&mut self, effects: &mut Effects) {
+        self.slot = Slot::Dead;
+        self.wait = None;
+        self.buffer.clear();
+        effects.died = true;
+        effects.rec(self.local_now, TraceKind::Killed);
     }
 }
 
@@ -308,19 +289,24 @@ struct OutMsg {
     payload: Payload,
 }
 
-/// Deterministically ordered side effects of stepping one rank.
+/// Deterministically ordered side effects of stepping one lane's ranks,
+/// rank after rank: each rank's sends, timers and trace events follow
+/// the previous rank's in the shared buffers, and a [`Stepped`] record
+/// says how many of each a rank produced — so stepping a rank allocates
+/// nothing of its own.
 #[derive(Default)]
 struct Effects {
     sends: Vec<OutMsg>,
     /// `(deadline, generation)` timers to arm.
     timers: Vec<(SimTime, u64)>,
-    /// Local tallies folded into [`SchedStats`] at apply time.
+    /// Lane tallies folded into [`SchedStats`] at apply time.
     dropped: u64,
     timeouts: u64,
     stale_timers: u64,
+    /// Whether the rank being stepped died.
     died: bool,
-    /// Happens-before events recorded during the step, appended to the
-    /// rank's trace lane at apply time. Only populated when `tracing`.
+    /// Happens-before events recorded during the steps, appended to the
+    /// ranks' trace lanes at apply time. Only populated when `tracing`.
     trace: Vec<TraceEvent>,
     /// The trace hook: when false (the default), recording is a single
     /// branch per call site and nothing allocates.
@@ -341,6 +327,15 @@ impl Effects {
             self.trace.push(TraceEvent { kind, at_ns: at });
         }
     }
+}
+
+/// One stepped rank's share of its lane's [`Effects`].
+struct Stepped {
+    rank: usize,
+    sends: usize,
+    timers: usize,
+    trace: usize,
+    died: bool,
 }
 
 /// The [`TaskCtx`] a task sees while stepped by the event engine.
@@ -392,44 +387,51 @@ impl TaskCtx for EventCtx<'_> {
     }
 }
 
+/// What every step of one batch shares.
+#[derive(Clone, Copy)]
+struct BatchEnv<'a> {
+    /// The batch's virtual timestamp.
+    now: SimTime,
+    size: usize,
+    plan: &'a FaultPlan,
+    /// Liveness at batch start: sends observe it, so results are
+    /// independent of intra-batch stepping order.
+    alive: &'a [bool],
+    tracing: bool,
+}
+
 /// Steps `state`'s task until it blocks (registering a wait and
 /// possibly a timer in `effects`), finishes, or dies.
 fn feed<T: RankTask>(
     state: &mut RankState<T>,
     mut wake: Wake,
-    size: usize,
-    plan: &FaultPlan,
-    alive: &[bool],
+    env: BatchEnv<'_>,
     effects: &mut Effects,
     rank: usize,
 ) {
+    let plan = env.plan;
     loop {
         let RankState {
-            task,
+            slot,
             ops,
             local_now,
             ..
         } = &mut *state;
-        let Some(task) = task.as_mut() else { return };
+        let Slot::Live(task) = slot else { return };
         let mut ctx = EventCtx {
             rank,
-            size,
+            size: env.size,
             ops,
             local_now,
             plan,
-            alive,
+            alive: env.alive,
             effects,
         };
         let action = match std::panic::catch_unwind(AssertUnwindSafe(|| task.step(&mut ctx, wake)))
         {
             Ok(action) => action,
             Err(payload) if payload.is::<RankKilled>() => {
-                state.task = None;
-                state.alive = false;
-                state.wait = None;
-                state.buffer.clear();
-                effects.died = true;
-                effects.rec(state.local_now, TraceKind::Killed);
+                state.kill(effects);
                 return;
             }
             // A genuine bug in task code: propagate, as the thread
@@ -438,9 +440,10 @@ fn feed<T: RankTask>(
         };
         match action {
             Action::Done => {
-                let task = state.task.take().expect("task present");
-                state.out = Some(task.into_output());
-                state.done = true;
+                let Slot::Live(task) = std::mem::replace(&mut state.slot, Slot::Dead) else {
+                    unreachable!("a stepped task is live");
+                };
+                state.slot = Slot::Done(task.into_output());
                 effects.rec(state.local_now, TraceKind::Done);
                 return;
             }
@@ -453,12 +456,7 @@ fn feed<T: RankTask>(
                     state.local_now += d.as_nanos() as SimTime;
                 }
                 if plan.kill_at(rank, op) {
-                    state.task = None;
-                    state.alive = false;
-                    state.wait = None;
-                    state.buffer.clear();
-                    effects.died = true;
-                    effects.rec(state.local_now, TraceKind::Killed);
+                    state.kill(effects);
                     return;
                 }
                 let wait = Wait { src, tag };
@@ -506,22 +504,19 @@ fn feed<T: RankTask>(
 /// (one latency per tree level, plus any timeout budgets waited out).
 fn process_event<T: RankTask>(
     state: &mut RankState<T>,
-    now: SimTime,
     kind: EvKind,
-    size: usize,
-    plan: &FaultPlan,
-    alive: &[bool],
+    env: BatchEnv<'_>,
     effects: &mut Effects,
 ) {
-    state.local_now = state.local_now.max(now);
+    state.local_now = state.local_now.max(env.now);
     let rank = kind.rank();
     match kind {
         EvKind::Start { .. } => {
             effects.rec(state.local_now, TraceKind::Start);
-            feed(state, Wake::Start, size, plan, alive, effects, rank)
+            feed(state, Wake::Start, env, effects, rank)
         }
         EvKind::Deliver { msg, .. } => {
-            if !state.alive || state.done {
+            if !state.is_live() {
                 // The thread-engine analogue: a send that raced the
                 // destination's death succeeded, and the message is
                 // simply lost.
@@ -540,13 +535,13 @@ fn process_event<T: RankTask>(
                             wildcard,
                         },
                     );
-                    feed(state, Wake::Message(msg), size, plan, alive, effects, rank);
+                    feed(state, Wake::Message(msg), env, effects, rank);
                 }
                 _ => state.buffer.push(msg),
             }
         }
         EvKind::Timer { gen, .. } => {
-            if state.alive && !state.done && state.wait.is_some() && gen == state.wait_gen {
+            if state.is_live() && state.wait.is_some() && gen == state.wait_gen {
                 let w = state.wait.take().expect("checked above");
                 effects.timeouts += 1;
                 effects.rec(
@@ -556,12 +551,111 @@ fn process_event<T: RankTask>(
                         tag: w.tag,
                     },
                 );
-                feed(state, Wake::Timeout, size, plan, alive, effects, rank);
+                feed(state, Wake::Timeout, env, effects, rank);
             } else {
                 effects.stale_timers += 1;
             }
         }
     }
+}
+
+/// One worker's share of a batch: the ranks it steps, ascending, each
+/// with its state borrowed in place, and their events back to back in
+/// the same order (each rank's run in scheduling order).
+struct Lane<'s, T: RankTask> {
+    ranks: Vec<(usize, &'s mut RankState<T>)>,
+    events: Vec<EvKind>,
+}
+
+impl<T: RankTask> Lane<'_, T> {
+    /// Step every rank of the lane, in the lane's rank order.
+    fn step(self, env: BatchEnv<'_>) -> LaneOut {
+        let mut effects = Effects::armed(env.tracing);
+        let mut events = self.events.into_iter().peekable();
+        let stepped: Vec<Stepped> = self
+            .ranks
+            .into_iter()
+            .map(|(rank, state)| {
+                let before = (
+                    effects.sends.len(),
+                    effects.timers.len(),
+                    effects.trace.len(),
+                );
+                effects.died = false;
+                while let Some(kind) = events.next_if(|k| k.rank() == rank) {
+                    process_event(state, kind, env, &mut effects);
+                }
+                Stepped {
+                    rank,
+                    sends: effects.sends.len() - before.0,
+                    timers: effects.timers.len() - before.1,
+                    trace: effects.trace.len() - before.2,
+                    died: effects.died,
+                }
+            })
+            .collect();
+        LaneOut {
+            stepped: stepped.into_iter(),
+            sends: effects.sends.into_iter(),
+            timers: effects.timers.into_iter(),
+            trace: effects.trace.into_iter(),
+            dropped: effects.dropped,
+            timeouts: effects.timeouts,
+            stale_timers: effects.stale_timers,
+        }
+    }
+}
+
+/// A stepped lane's effects, drained rank by rank when they are applied.
+struct LaneOut {
+    stepped: std::vec::IntoIter<Stepped>,
+    sends: std::vec::IntoIter<OutMsg>,
+    timers: std::vec::IntoIter<(SimTime, u64)>,
+    trace: std::vec::IntoIter<TraceEvent>,
+    dropped: u64,
+    timeouts: u64,
+    stale_timers: u64,
+}
+
+/// Deal a batch, sorted by rank, onto `workers` lanes: the `g`-th
+/// distinct rank goes to lane `g % workers`, so ranks with expensive
+/// steps — the low ranks that hold files, under round-robin file
+/// assignment — spread evenly over the lanes. Returns the lanes and
+/// the number of distinct ranks.
+fn deal<'s, T: RankTask>(
+    batch: impl Iterator<Item = EvKind>,
+    states: &'s mut [RankState<T>],
+    workers: usize,
+) -> (Vec<Lane<'s, T>>, usize) {
+    let mut lanes: Vec<Lane<'s, T>> = (0..workers)
+        .map(|_| Lane {
+            ranks: Vec::new(),
+            events: Vec::new(),
+        })
+        .collect();
+    // States of ranks above the last dealt one, starting at rank `base`.
+    let mut rest = states;
+    let mut base = 0;
+    let mut last = None;
+    let mut groups = 0;
+    for kind in batch {
+        let rank = kind.rank();
+        if last != Some(rank) {
+            // Ranks arrive ascending: split the rank's state off the
+            // front of the not-yet-borrowed tail.
+            let (state, tail) = std::mem::take(&mut rest)[rank - base..]
+                .split_first_mut()
+                .expect("event for a rank inside the world");
+            rest = tail;
+            base = rank + 1;
+            lanes[groups % workers].ranks.push((rank, state));
+            groups += 1;
+            last = Some(rank);
+        }
+        lanes[(groups - 1) % workers].events.push(kind);
+    }
+    lanes.truncate(groups.min(workers));
+    (lanes, groups)
 }
 
 impl EventEngine {
@@ -643,159 +737,146 @@ impl EventEngine {
 
         let mut states: Vec<RankState<T>> =
             (0..size).map(|rank| RankState::new(make(rank, size))).collect();
-        let mut heap: BinaryHeap<Ev> = BinaryHeap::with_capacity(size * 2);
-        let mut next_seq: u64 = 0;
-        for rank in 0..size {
-            heap.push(Ev {
-                time: 0,
-                seq: next_seq,
-                kind: EvKind::Start { rank },
-            });
-            next_seq += 1;
-        }
-        stats.max_queue_depth = heap.len();
+        // Liveness as of the current batch's start; deaths are folded in
+        // when effects are applied.
+        let mut alive = vec![true; size];
+        // Pending events, bucketed by virtual time; each bucket holds
+        // its events in scheduling order. Popping the earliest bucket
+        // yields a whole batch at once.
+        let mut queue: BTreeMap<SimTime, Vec<EvKind>> = BTreeMap::new();
+        queue.insert(0, (0..size).map(|rank| EvKind::Start { rank }).collect());
+        let mut queued = size;
+        stats.max_queue_depth = queued;
 
-        while let Some(first) = heap.pop() {
-            // --- collect the batch: every event at the minimal time ---
-            let now = first.time;
-            let mut batch = vec![first];
-            while heap.peek().map(|ev| ev.time == now).unwrap_or(false) {
-                batch.push(heap.pop().expect("peeked"));
-            }
+        let metrics = caliper_data::metrics::global();
+        let phase_timers = [
+            metrics.timer("mpisim.sched.collect"),
+            metrics.timer("mpisim.sched.step"),
+            metrics.timer("mpisim.sched.apply"),
+        ];
+        while let Some((now, mut batch)) = queue.pop_first() {
+            let started = Instant::now();
+            // --- the batch: every event at the minimal time ---
+            queued -= batch.len();
             let batch_len = batch.len() as u64;
             stats.events += batch_len;
 
-            // --- group per rank, preserving (time, seq) order ---
-            let mut work: Vec<(usize, Vec<EvKind>)> = Vec::new();
-            for ev in batch {
-                let rank = ev.kind.rank();
-                match work.iter_mut().find(|(r, _)| *r == rank) {
-                    Some((_, kinds)) => kinds.push(ev.kind),
-                    None => work.push((rank, vec![ev.kind])),
-                }
-            }
-            work.sort_by_key(|&(rank, _)| rank);
+            // --- group per rank: a stable sort keeps each rank's events
+            // in scheduling order ---
+            batch.sort_by_key(EvKind::rank);
+            let (lanes, groups) = deal(batch.into_iter(), &mut states, workers);
+            let collected = Instant::now();
 
-            // --- snapshot liveness; step the batch's ranks ---
-            let alive: Vec<bool> = states.iter().map(|s| s.alive).collect();
-            let mut stepped: Vec<(usize, RankState<T>, Effects)> =
-                if workers <= 1 || work.len() <= 1 {
-                    work.into_iter()
-                        .map(|(rank, kinds)| {
-                            let mut state =
-                                std::mem::replace(&mut states[rank], RankState::vacant());
-                            let mut effects = Effects::armed(tracing);
-                            for kind in kinds {
-                                process_event(
-                                    &mut state, now, kind, size, &plan, &alive, &mut effects,
-                                );
-                            }
-                            (rank, state, effects)
-                        })
-                        .collect()
-                } else {
-                    let mut taken: Vec<(usize, RankState<T>, Vec<EvKind>)> = work
-                        .into_iter()
-                        .map(|(rank, kinds)| {
-                            let state = std::mem::replace(&mut states[rank], RankState::vacant());
-                            (rank, state, kinds)
-                        })
+            // --- step the batch's ranks in place against the liveness
+            // snapshot, one lane per worker ---
+            let env = BatchEnv {
+                now,
+                size,
+                plan: &plan,
+                alive: &alive,
+                tracing,
+            };
+            let mut stepped: Vec<LaneOut> = if lanes.len() <= 1 {
+                lanes.into_iter().map(|lane| lane.step(env)).collect()
+            } else {
+                std::thread::scope(|scope| {
+                    let mut lanes = lanes.into_iter();
+                    let first = lanes.next().expect("at least two lanes");
+                    let handles: Vec<_> = lanes
+                        .map(|lane| scope.spawn(move || lane.step(env)))
                         .collect();
-                    let chunk = taken.len().div_ceil(workers);
-                    let plan = &plan;
-                    let alive = &alive[..];
-                    let results: Vec<Vec<(usize, RankState<T>, Effects)>> =
-                        std::thread::scope(|scope| {
-                            let mut handles = Vec::new();
-                            while !taken.is_empty() {
-                                let rest = taken.split_off(chunk.min(taken.len()));
-                                let mine = std::mem::replace(&mut taken, rest);
-                                handles.push(scope.spawn(move || {
-                                    mine.into_iter()
-                                        .map(|(rank, mut state, kinds)| {
-                                            let mut effects = Effects::armed(tracing);
-                                            for kind in kinds {
-                                                process_event(
-                                                    &mut state, now, kind, size, plan, alive,
-                                                    &mut effects,
-                                                );
-                                            }
-                                            (rank, state, effects)
-                                        })
-                                        .collect()
-                                }));
-                            }
-                            handles
-                                .into_iter()
-                                .map(|h| match h.join() {
-                                    Ok(v) => v,
-                                    Err(e) => std::panic::resume_unwind(e),
-                                })
-                                .collect()
-                        });
-                    results.into_iter().flatten().collect()
-                };
+                    let mut out = vec![first.step(env)];
+                    for handle in handles {
+                        match handle.join() {
+                            Ok(lane) => out.push(lane),
+                            Err(e) => std::panic::resume_unwind(e),
+                        }
+                    }
+                    out
+                })
+            };
+            let step_done = Instant::now();
 
-            // --- apply effects in rank order: deterministic seqs ---
-            stepped.sort_by_key(|&(rank, _, _)| rank);
+            // --- apply effects in rank order: deterministic scheduling
+            // order. The g-th rank of the batch was dealt to lane
+            // g % lanes. ---
             let mut stale_in_batch = 0u64;
-            for (rank, state, effects) in stepped {
-                stale_in_batch += effects.stale_timers;
-                stats.dropped += effects.dropped;
-                stats.timeouts += effects.timeouts;
-                stats.stale_timers += effects.stale_timers;
-                if effects.died {
+            for lane in &stepped {
+                stale_in_batch += lane.stale_timers;
+                stats.dropped += lane.dropped;
+                stats.timeouts += lane.timeouts;
+            }
+            stats.stale_timers += stale_in_batch;
+            let lane_count = stepped.len();
+            for g in 0..groups {
+                let lane = &mut stepped[g % lane_count];
+                let Stepped {
+                    rank,
+                    sends,
+                    timers,
+                    trace: traced,
+                    died,
+                } = lane.stepped.next().expect("one record per dealt rank");
+                if died {
                     stats.ranks_lost += 1;
+                    alive[rank] = false;
                 }
                 if tracing {
-                    trace.events[rank].extend(effects.trace);
+                    trace.events[rank].extend(lane.trace.by_ref().take(traced));
                 }
-                for out in effects.sends {
+                for out in lane.sends.by_ref().take(sends) {
                     stats.messages += 1;
-                    heap.push(Ev {
-                        time: out.at + latency,
-                        seq: next_seq,
-                        kind: EvKind::Deliver {
+                    queued += 1;
+                    queue
+                        .entry(out.at + latency)
+                        .or_default()
+                        .push(EvKind::Deliver {
                             dest: out.dest,
                             msg: Msg {
                                 src: out.src,
                                 tag: out.tag,
                                 payload: out.payload,
                             },
-                        },
-                    });
-                    next_seq += 1;
+                        });
                 }
-                for (deadline, gen) in effects.timers {
-                    heap.push(Ev {
-                        time: deadline,
-                        seq: next_seq,
-                        kind: EvKind::Timer { rank, gen },
-                    });
-                    next_seq += 1;
+                for (deadline, gen) in lane.timers.by_ref().take(timers) {
+                    queued += 1;
+                    queue
+                        .entry(deadline)
+                        .or_default()
+                        .push(EvKind::Timer { rank, gen });
                 }
-                states[rank] = state;
             }
             // Stale timers fire after their receive was satisfied;
             // a batch of nothing else must not stretch the makespan.
             if stale_in_batch < batch_len {
                 stats.virtual_time_ns = stats.virtual_time_ns.max(now);
             }
-            stats.max_queue_depth = stats.max_queue_depth.max(heap.len());
+            stats.max_queue_depth = stats.max_queue_depth.max(queued);
+            let marks = [started, collected, step_done, Instant::now()];
+            for (timer, phase) in phase_timers.iter().zip(marks.windows(2)) {
+                timer.add_ns((phase[1] - phase[0]).as_nanos().min(u128::from(u64::MAX)) as u64);
+            }
         }
 
-        // --- heap drained: every live task must have finished ---
+        // --- queue drained: every live task must have finished ---
         let blocked_waits: Vec<(usize, Option<usize>, Tag)> = states
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.alive && !s.done)
+            .filter(|(_, s)| s.is_live())
             .map(|(r, s)| match &s.wait {
                 Some(w) => (r, w.src, w.tag),
                 None => (r, None, 0),
             })
             .collect();
         let outcome = if blocked_waits.is_empty() {
-            Ok(states.into_iter().map(|s| s.out).collect())
+            Ok(states
+                .into_iter()
+                .map(|s| match s.slot {
+                    Slot::Done(out) => Some(out),
+                    Slot::Live(_) | Slot::Dead => None,
+                })
+                .collect())
         } else {
             Err(SchedError::Deadlock {
                 cycles: crate::hb::find_wait_cycles(&blocked_waits).cycles,
@@ -804,7 +885,6 @@ impl EventEngine {
             })
         };
 
-        let metrics = caliper_data::metrics::global();
         metrics.counter_volatile("mpisim.sched.events").add(stats.events);
         metrics
             .gauge_volatile("mpisim.sched.virtual_time_ns")

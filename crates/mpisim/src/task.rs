@@ -15,7 +15,7 @@
 //!   execution model; still the reference for equivalence tests.
 //! * [`EventEngine`](crate::sched::EventEngine) — a deterministic
 //!   virtual-clock event loop (see `sched.rs`): timeouts and delays are
-//!   heap events costing zero wall-clock time, and 16k ranks fit in one
+//!   queued events costing zero wall-clock time, and 16k ranks fit in one
 //!   process comfortably.
 //!
 //! The centerpiece task is [`ReduceTask`]: the paper's binomial-tree
@@ -394,7 +394,6 @@ pub struct ReduceTask<T, F, I> {
     attempt: u32,
     acc: Option<T>,
     included: Vec<usize>,
-    out: Option<Option<(T, ReduceCoverage)>>,
 }
 
 impl<T, F, I> ReduceTask<T, F, I>
@@ -425,7 +424,6 @@ where
             attempt: 0,
             acc: None,
             included: Vec::new(),
-            out: None,
         }
     }
 
@@ -457,18 +455,12 @@ where
                     // so the error is swallowed and the rank retires.
                     let _ = ctx.send(to, TAG_RESIL + level, Box::new((acc, included)));
                     self.next_round = self.schedule.len();
-                    self.out = Some(None);
                     return Action::Done;
                 }
             }
         }
-        // Schedule exhausted without a Send: this rank is the root.
-        let acc = self.acc.take().expect("root holds the merged value");
-        let mut included = std::mem::take(&mut self.included);
-        included.sort_unstable();
-        included.dedup();
-        let lost = (0..self.size).filter(|r| !included.contains(r)).collect();
-        self.out = Some(Some((acc, ReduceCoverage { included, lost })));
+        // Schedule exhausted without a Send: this rank is the root, and
+        // `into_output` hands out its merged value.
         Action::Done
     }
 }
@@ -527,7 +519,18 @@ where
     }
 
     fn into_output(self) -> Self::Out {
-        self.out.expect("task is done")
+        // Only the root still holds a value once done: every other rank
+        // sent its partial to its parent.
+        let acc = self.acc?;
+        let mut included = self.included;
+        included.sort_unstable();
+        included.dedup();
+        // `included` is sorted: walk it in step with `0..size`.
+        let mut next = included.iter().peekable();
+        let lost = (0..self.size)
+            .filter(|&r| next.next_if_eq(&&r).is_none())
+            .collect();
+        Some((acc, ReduceCoverage { included, lost }))
     }
 }
 

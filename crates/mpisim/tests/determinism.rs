@@ -89,7 +89,7 @@ fn worker_pool_size_is_invisible_at_scale() {
 /// The `recv_timeout` busy-wait regression: a parent whose child is
 /// delayed for 30 *virtual* seconds — past the first receive timeout,
 /// so retry timers actually fire — must complete with full coverage in
-/// wall-clock milliseconds. Under the event engine, timeouts are heap
+/// wall-clock milliseconds. Under the event engine, timeouts are queued
 /// events; nothing spins or sleeps.
 #[test]
 fn delayed_parent_scenario_completes_without_wall_clock_spin() {

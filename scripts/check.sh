@@ -87,8 +87,9 @@ if grep -q -- '-0\.0' "$smoke/fig4.out"; then
 fi
 
 # Engine-agreement gate: every mpi-caliquery run is one ReduceTask
-# reduction, so neither the engine, the topology, nor a straggler may
-# change the answer — each run exits 0 with byte-identical stdout.
+# reduction, so neither the engine, the topology, a straggler, nor
+# thousands of empty ranks may change the answer — each run exits 0
+# with byte-identical stdout.
 mpq=./target/release/mpi-caliquery
 for i in 0 1 2 3; do
     { printf '__rec=attr,id=0,name=kernel,type=string,prop=default\n'
@@ -100,6 +101,8 @@ done
 aq="AGGREGATE count, sum(time.duration) GROUP BY kernel ORDER BY kernel"
 "$mpq" -q "$aq" "$smoke"/agree-in*.cali > "$smoke/agree-default.out"
 "$mpq" --engine event --workers 2 -q "$aq" "$smoke"/agree-in*.cali > "$smoke/agree-event.out"
+"$mpq" --engine event --workers 2 --ranks 4096 -q "$aq" "$smoke"/agree-in*.cali \
+    > "$smoke/agree-event4096.out"
 "$mpq" --nodes 2 -q "$aq" "$smoke"/agree-in*.cali > "$smoke/agree-nodes.out"
 "$mpq" --faults 'mpi.delay=at(1,0,20)' -q "$aq" "$smoke"/agree-in*.cali \
     > "$smoke/agree-delay.out"
@@ -107,13 +110,13 @@ grep -q "shared" "$smoke/agree-default.out" || {
     echo "check.sh: engine-agreement corpus produced no rows" >&2
     exit 1
 }
-for run in event nodes delay; do
+for run in event event4096 nodes delay; do
     cmp -s "$smoke/agree-default.out" "$smoke/agree-$run.out" || {
         echo "check.sh: mpi-caliquery stdout differs between the default run and '$run'" >&2
         exit 1
     }
 done
-echo "check.sh: engine agreement: threads/event/two-level/straggler runs byte-identical"
+echo "check.sh: engine agreement: threads/event/4096-rank event/two-level/straggler runs byte-identical"
 
 # Event-engine scale smoke: a 2048-rank resilient tree reduction with a
 # seeded kill plan must finish inside a strict wall-clock budget (a

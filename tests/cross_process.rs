@@ -277,3 +277,124 @@ fn tree_reduction_inside_mpisim_matches_pipeline_merge() {
 
     assert_eq!(reference, from_tree);
 }
+
+/// Write `files` ParaDiS rank files (2 iterations each) into `dir`.
+fn write_paradis_files(dir: &std::path::Path, files: usize) -> Vec<PathBuf> {
+    let params = ParaDisParams {
+        iterations: 2,
+        ..Default::default()
+    };
+    caliper_repro::apps::paradis::write_files(&params, files, dir).unwrap()
+}
+
+#[test]
+fn thousands_of_mostly_empty_ranks_match_serial_query_on_any_worker_count() {
+    // 16 files over 4096 ranks, round-robin: ranks 16.. hold nothing.
+    let dir = temp_dir("event-4096");
+    let paths = write_paradis_files(&dir, 16);
+    let query = caliper_repro::apps::paradis::EVALUATION_QUERY;
+    let serial = run_query(&read_files(&paths).unwrap(), query)
+        .unwrap()
+        .render();
+
+    let ranks = 4096;
+    let mut per_rank: Vec<Vec<PathBuf>> = vec![Vec::new(); ranks];
+    for (i, p) in paths.iter().enumerate() {
+        per_rank[i % ranks].push(p.clone());
+    }
+    for workers in [1, 2, 3] {
+        let (result, coverage) = parallel_query_on(
+            &EventEngine::with_workers(workers),
+            Topology::Flat,
+            query,
+            per_rank.clone(),
+            FaultPlan::new(),
+            ResilienceOptions::default(),
+        )
+        .unwrap();
+        assert!(coverage.is_complete(), "workers {workers}");
+        assert_eq!(result.render(), serial, "workers {workers}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn empty_root_and_empty_ranks_equal_serial_query() {
+    // Rank 0 and most other ranks hold no files: the empty ranks must
+    // be merge identities, and the root's (empty) input store must still
+    // type the key columns as a serial query would.
+    let dir = temp_dir("empty-root");
+    let paths = write_paradis_files(&dir, 3);
+    let ranks = 32;
+    let mut per_rank: Vec<Vec<PathBuf>> = vec![Vec::new(); ranks];
+    per_rank[5].push(paths[0].clone());
+    per_rank[17].push(paths[1].clone());
+    per_rank[17].push(paths[2].clone());
+    for query in [
+        caliper_repro::apps::paradis::EVALUATION_QUERY,
+        "AGGREGATE count, sum(aggregate.count) GROUP BY mpi.rank, kernel ORDER BY mpi.rank, kernel",
+    ] {
+        let serial = run_query(&read_files(&paths).unwrap(), query)
+            .unwrap()
+            .render();
+        for event in [false, true] {
+            let (result, coverage) = query_on(
+                event,
+                Topology::Flat,
+                query,
+                per_rank.clone(),
+                FaultPlan::new(),
+                ResilienceOptions::default(),
+            )
+            .unwrap();
+            assert_eq!(coverage.included, (0..ranks).collect::<Vec<_>>());
+            assert_eq!(result.render(), serial, "event {event}, {query}");
+        }
+        // A world without any files still has a root pipeline to finish.
+        let nothing: &[PathBuf] = &[];
+        let empty = run_query(&read_files(nothing).unwrap(), query)
+            .unwrap()
+            .render();
+        for event in [false, true] {
+            let (result, _) = query_on(
+                event,
+                Topology::Flat,
+                query,
+                vec![Vec::new(); 8],
+                FaultPlan::new(),
+                ResilienceOptions::default(),
+            )
+            .unwrap();
+            assert_eq!(result.render(), empty, "event {event}, no files, {query}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn seeded_kill_coverage_partitions_the_world_at_16k_ranks() {
+    let size = 16_384;
+    let outputs = EventEngine::with_workers(2).run_tasks(
+        size,
+        FaultPlan::seeded_kills(7, 40, size),
+        |rank, size| {
+            ReduceTask::new(
+                rank,
+                size,
+                Topology::Flat,
+                move || rank as u64,
+                |a: u64, b: u64| a + b,
+                ResilienceOptions::default(),
+            )
+        },
+    );
+    let (sum, coverage) = outputs[0].clone().flatten().expect("root result");
+    let ReduceCoverage { included, lost } = &coverage;
+    assert!(included.windows(2).all(|w| w[0] < w[1]), "included sorted");
+    assert!(lost.windows(2).all(|w| w[0] < w[1]), "lost sorted");
+    assert!(!lost.is_empty(), "40 kills must lose some ranks");
+    let mut all: Vec<usize> = included.iter().chain(lost).copied().collect();
+    all.sort_unstable();
+    assert_eq!(all, (0..size).collect::<Vec<_>>(), "disjoint and covering");
+    assert_eq!(sum, included.iter().map(|&r| r as u64).sum::<u64>());
+}
